@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet build test race bench bench-json fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln
+.PHONY: check fmt vet build test race bench bench-json fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln loc
 
 check: fmt vet build test race bench fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln
 
@@ -107,6 +107,11 @@ ledger-diff:
 	$(GO) run ./cmd/paperrepro -only table1 -ledger $$tmp/b.jsonl >/dev/null 2>&1 && \
 	$(GO) run ./cmd/ledgerdiff $$tmp/a.jsonl $$tmp/b.jsonl; \
 	status=$$?; rm -rf $$tmp; exit $$status
+
+# loc prints the non-test Go line count outside perfbench/, the code-size
+# figure each change reports. Informational; not part of check.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './perfbench/*' | xargs cat | wc -l
 
 # vuln scans the module with govulncheck when the tool is installed.
 # Advisory, not blocking: findings are printed for review but do not fail

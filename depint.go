@@ -232,12 +232,14 @@ func WithRefinement(maxMoves int) Option { return func(o *options) { o.refineMov
 // one span per pipeline stage (partition, influence, replicate, condense,
 // map, evaluate), the condenser logs every merge decision with its mutual
 // influence, and the feasibility oracle counts calls and latencies into
-// the observer's metrics registry (a process-global installation — see
-// sched.Observe). An observer built with obs.WithBus additionally streams
-// every span start/end and event live over the observability fabric, where
-// obs.Serve exposes them as /events, /progress and the /dashboard. A nil
-// observer (the default) keeps the pipeline on its uninstrumented fast
-// path.
+// the observer's metrics registry. The oracle is reached through a
+// process-global hook (sched.Observe) that Integrate installs for the run
+// and removes before it returns, so the oracle counts of observed runs
+// that overlap in time are not kept apart. An observer built with
+// obs.WithBus additionally streams every span start/end and event live
+// over the observability fabric, where obs.Serve exposes them as /events,
+// /progress and the /dashboard. A nil observer (the default) keeps the
+// pipeline on its uninstrumented fast path.
 func WithObserver(o *obs.Observer) Option { return func(opt *options) { opt.observer = o } }
 
 // WithLedger installs a decision-provenance ledger on the run: Integrate
@@ -459,7 +461,10 @@ func IntegrateContext(ctx context.Context, sys *System, opts ...Option) (*Result
 	// is installed, keeping the default path uninstrumented.
 	var root *obs.Span
 	if o.observer != nil {
+		// The oracle hook is process-global: remove it with the run so a
+		// later unobserved run cannot count into this registry.
 		sched.Observe(o.observer.Metrics())
+		defer sched.Observe(nil)
 		root = o.observer.StartSpan("integrate",
 			obs.String("system", sys.Name),
 			obs.String("strategy", o.strategy.String()),
@@ -707,10 +712,8 @@ func integrateAttempt(ctx context.Context, o *options, root *obs.Span, res *Resu
 	sp := root.StartChild("condense",
 		obs.String("strategy", strat.String()), obs.Int("attempt", attempt))
 	cond := cluster.NewCondenser(work, exp.Jobs)
-	cond.SetContext(ctx)
-	cond.SetWorkers(o.workers)
-	cond.SetLedger(led, attempt+1)
-	cond.Observe(sp, o.observer.Metrics())
+	cond.Ctx, cond.Workers = ctx, o.workers
+	cond.Observe(sp, led, attempt+1)
 	target := sys.HWNodes
 	if err := runStage(ctx, sp, "condense", func() error {
 		var err error

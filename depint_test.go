@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/hw"
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 func TestIntegrateDefaultsOnPaperExample(t *testing.T) {
@@ -312,8 +311,6 @@ func TestSeparationOfEdgeCases(t *testing.T) {
 }
 
 func TestIntegrateWithObserverRecordsStages(t *testing.T) {
-	defer sched.Observe(nil) // uninstall the process-global instruments
-
 	o := obs.New()
 	if _, err := Integrate(PaperExample(), WithObserver(o)); err != nil {
 		t.Fatal(err)
@@ -366,6 +363,27 @@ func TestIntegrateWithObserverRecordsStages(t *testing.T) {
 	}
 	if calls <= 0 {
 		t.Errorf("sched_feasible_calls_total = %d, want > 0", calls)
+	}
+}
+
+// TestIntegrateObserverScopedToRun: the feasibility-oracle hook an
+// observed Integrate installs is removed before it returns, so a later
+// unobserved run books nothing into the finished run's registry.
+func TestIntegrateObserverScopedToRun(t *testing.T) {
+	o := obs.New()
+	if _, err := Integrate(PaperExample(), WithObserver(o)); err != nil {
+		t.Fatal(err)
+	}
+	calls := o.Metrics().Counter("sched_feasible_calls_total", "")
+	before := calls.Value()
+	if before == 0 {
+		t.Fatal("observed run counted no oracle calls")
+	}
+	if _, err := Integrate(PaperExample()); err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Value(); got != before {
+		t.Errorf("unobserved run added %d oracle calls to the finished run's registry", got-before)
 	}
 }
 

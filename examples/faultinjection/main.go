@@ -101,7 +101,6 @@ func observed(sys *depint.System, trials int) {
 		Seed:              7,
 		CriticalThreshold: 10,
 		Span:              span,
-		Metrics:           o.Metrics(),
 	})
 	span.End()
 	if err != nil {

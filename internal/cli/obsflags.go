@@ -88,9 +88,10 @@ func (f *ObsFlags) Enabled() bool {
 }
 
 // Bus returns the streaming event bus, non-nil once Observer has run with
-// -watch or -metrics-addr set. Tools pass it into bus-aware components
-// (faultsim.Campaign, faultsim.SearchConfig) for richer progress events;
-// span-level activity reaches it automatically via the observer.
+// -watch, -metrics-addr or -flight-record set. It is the observer's own
+// bus: stages handed a span of that observer reach it automatically, and
+// tools pass it to the components that take a bus directly (the fabric's
+// coordinator and worker configs).
 func (f *ObsFlags) Bus() *obs.Bus {
 	if f == nil {
 		return nil

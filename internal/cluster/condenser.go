@@ -65,50 +65,33 @@ type Condenser struct {
 	jobs map[string]sched.Job
 	// Trace accumulates the combination steps in order.
 	Trace []Step
-	// span receives one event per merge / backtrack; metrics count the
-	// candidate pairs examined and their feasibility verdicts. Both are
-	// nil (and cost one pointer check) unless Observe installs them.
-	span    *obs.Span
-	metrics *condMetrics
-	// ctx, when set via SetContext, is polled cooperatively at the head
-	// of every reduction loop so a deadline or cancellation aborts the
-	// condensation promptly instead of after the full O(n²·sched) sweep.
-	ctx context.Context
-	// workers, when set via SetWorkers, sizes the goroutine pool of the
-	// separation sweeps inside ReduceBySeparation (0 = GOMAXPROCS).
-	workers int
-	// led, when set via SetLedger, receives one provenance record per
-	// merge and backtrack, stamped with ledAttempt. Nil (the default)
-	// records nothing.
+	// Ctx, when set, is polled cooperatively at the head of every
+	// reduction loop so a deadline or cancellation aborts the condensation
+	// promptly (with a stage-classified error wrapping Ctx.Err()) instead
+	// of after the full O(n²·sched) sweep. Nil disables the checks.
+	Ctx context.Context
+	// Workers sizes the goroutine pool of the Eq. 3 separation sweeps
+	// inside ReduceBySeparation (0 = GOMAXPROCS). The reduction is
+	// bit-identical for every value; only wall-clock time changes.
+	Workers int
+	// span receives one event per merge / backtrack, and its observer's
+	// registry backs metrics; led receives one provenance record per merge
+	// and backtrack, stamped with ledAttempt. All stay nil — every call a
+	// no-op — unless Observe installs them.
+	span       *obs.Span
+	metrics    condMetrics
 	led        *ledger.Ledger
 	ledAttempt int
-}
-
-// SetContext installs a cancellation context on the condenser. All Reduce*
-// loops poll it and return a stage-classified error wrapping ctx.Err()
-// when it fires. A nil context (the default) disables the checks.
-func (c *Condenser) SetContext(ctx context.Context) { c.ctx = ctx }
-
-// SetWorkers sizes the worker pool used by the Eq. 3 separation sweeps
-// (ReduceBySeparation). 0 or negative means GOMAXPROCS. The reduction is
-// bit-identical for every value; only wall-clock time changes.
-func (c *Condenser) SetWorkers(n int) { c.workers = n }
-
-// SetLedger installs a decision-provenance ledger on the condenser: every
-// Combine appends a merge record (rule, operands, Eq. 4 mutual influence,
-// resulting cluster) and every backtrack a backtrack record, stamped with
-// the given fallback-attempt number. A nil ledger records nothing.
-func (c *Condenser) SetLedger(l *ledger.Ledger, attempt int) {
-	c.led, c.ledAttempt = l, attempt
 }
 
 // checkCtx is the cooperative cancellation check-point of the reduction
 // hot loops.
 func (c *Condenser) checkCtx() error {
-	return stage.Check(c.ctx, "condense")
+	return stage.Check(c.Ctx, "condense")
 }
 
-// condMetrics caches the condenser's instrument handles.
+// condMetrics caches the condenser's instrument handles (nil handles
+// absorb every call).
 type condMetrics struct {
 	pairsConsidered  *obs.Counter
 	pairsFeasible    *obs.Counter
@@ -120,15 +103,16 @@ type condMetrics struct {
 	clusterSizeAfter *obs.Gauge
 }
 
-// Observe installs telemetry on the condenser: merge and backtrack events
-// are appended to span, candidate-pair counters to reg. Either may be nil.
-func (c *Condenser) Observe(span *obs.Span, reg *obs.Registry) {
-	c.span = span
-	if reg == nil {
-		c.metrics = nil
-		return
-	}
-	c.metrics = &condMetrics{
+// Observe installs the condenser's reporting: merge and backtrack events
+// go to span, candidate-pair counters to span's observer registry, and
+// every Combine appends a merge record (rule, operands, Eq. 4 mutual
+// influence, resulting cluster) and every backtrack a backtrack record to
+// led, stamped with the given fallback-attempt number. Nil span or ledger
+// records nothing on that channel.
+func (c *Condenser) Observe(span *obs.Span, led *ledger.Ledger, attempt int) {
+	c.span, c.led, c.ledAttempt = span, led, attempt
+	reg := span.Metrics()
+	c.metrics = condMetrics{
 		pairsConsidered:  reg.Counter("cluster_candidate_pairs_total", "candidate pairs examined by CanCombine"),
 		pairsFeasible:    reg.Counter("cluster_feasible_pairs_total", "candidate pairs passing replica and timing checks"),
 		rejectedReplica:  reg.Counter("cluster_rejected_replica_total", "pairs rejected for replica separation"),
@@ -169,9 +153,7 @@ func (c *Condenser) JobsOf(id string) []sched.Job {
 // schedulable on one processor (§6). Verdicts are counted when the
 // condenser is observed.
 func (c *Condenser) CanCombine(a, b string) (bool, string) {
-	if m := c.metrics; m != nil {
-		m.pairsConsidered.Inc()
-	}
+	c.metrics.pairsConsidered.Inc()
 	if !c.G.HasNode(a) || !c.G.HasNode(b) {
 		return false, "unknown node"
 	}
@@ -179,9 +161,7 @@ func (c *Condenser) CanCombine(a, b string) (bool, string) {
 		return false, "same node"
 	}
 	if c.G.AreReplicas(a, b) {
-		if m := c.metrics; m != nil {
-			m.rejectedReplica.Inc()
-		}
+		c.metrics.rejectedReplica.Inc()
 		return false, "replicas of one module"
 	}
 	jobs := append(c.JobsOf(a), c.JobsOf(b)...)
@@ -190,14 +170,10 @@ func (c *Condenser) CanCombine(a, b string) (bool, string) {
 		return false, err.Error()
 	}
 	if !ok {
-		if m := c.metrics; m != nil {
-			m.rejectedTiming.Inc()
-		}
+		c.metrics.rejectedTiming.Inc()
 		return false, "timing infeasible: " + witness
 	}
-	if m := c.metrics; m != nil {
-		m.pairsFeasible.Inc()
-	}
+	c.metrics.pairsFeasible.Inc()
 	return true, ""
 }
 
@@ -227,11 +203,9 @@ func (c *Condenser) Combine(a, b, rule string) (string, error) {
 			obs.String("result", id),
 			obs.Int("nodes_left", c.G.NumNodes()))
 	}
-	if m := c.metrics; m != nil {
-		m.merges.Inc()
-		m.mergeMutual.Observe(mutual)
-		m.clusterSizeAfter.Set(float64(c.G.NumNodes()))
-	}
+	c.metrics.merges.Inc()
+	c.metrics.mergeMutual.Observe(mutual)
+	c.metrics.clusterSizeAfter.Set(float64(c.G.NumNodes()))
 	return id, nil
 }
 
@@ -249,9 +223,7 @@ func (c *Condenser) backtrack(hi, lo string) {
 			obs.String("low", lo),
 			obs.String("why", "pairing conflict, partner choice undone"))
 	}
-	if m := c.metrics; m != nil {
-		m.backtracks.Inc()
-	}
+	c.metrics.backtracks.Inc()
 }
 
 // Partition returns the current node groups as member lists, sorted.

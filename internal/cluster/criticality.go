@@ -93,7 +93,7 @@ func (c *Condenser) pairRound() ([][2]string, bool) {
 			if budget <= 0 {
 				return false
 			}
-			if c.ctx != nil && budget%256 == 0 && c.ctx.Err() != nil {
+			if c.Ctx != nil && budget%256 == 0 && c.Ctx.Err() != nil {
 				budget = 0 // drain the search; the caller reports ctx.Err()
 				return false
 			}

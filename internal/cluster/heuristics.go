@@ -50,7 +50,7 @@ func (c *Condenser) bestFeasiblePair() (string, string, bool) {
 	bestMutual := -1.0
 	bestSize := 0
 	for i, a := range nodes {
-		if c.ctx != nil && c.ctx.Err() != nil {
+		if c.Ctx != nil && c.Ctx.Err() != nil {
 			return "", "", false // caller re-checks and reports the cancellation
 		}
 		for _, b := range nodes[i+1:] {
@@ -322,7 +322,7 @@ func (c *Condenser) materialise(parts [][]string, rule string) error {
 func (c *Condenser) repairPartition(parts [][]string) [][]string {
 	const maxPasses = 16
 	for pass := 0; pass < maxPasses; pass++ {
-		if c.ctx != nil && c.ctx.Err() != nil {
+		if c.Ctx != nil && c.Ctx.Err() != nil {
 			return nil // callers re-check and report the cancellation
 		}
 		fixed := true

@@ -25,7 +25,7 @@ func (c *Condenser) ReduceBySeparation(target, order int) error {
 			return err
 		}
 		p, ids := c.G.Matrix()
-		sep, err := influence.SeparationMatrixWorkers(c.ctx, p, order, c.workers)
+		sep, err := influence.SeparationMatrixWorkers(c.Ctx, p, order, c.Workers)
 		if err != nil {
 			return fmt.Errorf("cluster: separation: %w", err)
 		}

@@ -17,7 +17,7 @@ type Config struct {
 	// Campaign is the campaign to shard. All merge-side features ride
 	// along unchanged: CheckpointPath/Resume give crash-safe coordinator
 	// restart on the v2 frontier format, StopHalfWidth gives Wald early
-	// stopping, Bus/Span/Metrics/Ledger stream and record as in Run.
+	// stopping, Span/Ledger report and record as in Run.
 	// Used by Serve; ServeSearch runs one campaign per evaluation instead.
 	Campaign faultsim.Campaign
 	// Listener accepts worker connections; the coordinator owns it and
@@ -49,8 +49,8 @@ type Config struct {
 	// Bus receives the fabric's own progress events — "fabric_worker"
 	// (join/lost/drain), "fabric_lease" (grant/result/expire/duplicate),
 	// "fabric_quarantine" (a worker failed a spot-check) and a final
-	// "fabric_done" — alongside whatever Campaign.Bus streams.
-	// Typically the same bus.
+	// "fabric_done" — alongside the campaign_* events Campaign.Span's
+	// observer streams. Typically the same bus.
 	Bus *obs.Bus
 	// Label names the fabric in streamed events (default Campaign.Label,
 	// then "campaign").

@@ -582,9 +582,7 @@ func (w *worker) publish(state string, extra ...obs.Attr) {
 		obs.String("state", state),
 		obs.Int("chunks_done", w.chunks),
 	}, extra...)
-	if w.cfg.Bus != nil {
-		w.cfg.Bus.Publish("fabric_worker", name, attrs...)
-	}
+	w.cfg.Bus.Publish("fabric_worker", name, attrs...)
 	if w.rel != nil {
 		m := make(map[string]any, len(attrs))
 		for _, a := range attrs {

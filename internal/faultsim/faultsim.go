@@ -89,26 +89,24 @@ type Campaign struct {
 	// worker counts and checkpoint/resume; the model identity is part of
 	// the checkpoint fingerprint.
 	Model FaultModel
-	// Span, when set, receives a "checkpoint" event at every 10% of the
-	// campaign with the running containment estimates — the convergence
-	// trail of the paper's measurement loop — plus one child span per
-	// worker when the pool is parallel. Metrics, when set, counts trials,
-	// transmissions and escapes as the campaign runs and tracks the number
-	// of active workers in a gauge.
-	Span    *obs.Span
-	Metrics *obs.Registry
-	// Ledger, when set, receives one "campaign" provenance record with
-	// the final containment estimates (trials, escape rate, criticality
-	// loss) after a successful run. Nil records nothing.
-	Ledger *ledger.Ledger
-	// Bus, when set, streams live progress over the observability fabric:
-	// one "campaign_start" event, a "campaign_checkpoint" event (with the
-	// running escape rate and its Wald CI half-width) at every telemetry
+	// Span, when set, is the campaign's one telemetry handle. It receives
+	// a "checkpoint" event at every 10% of the campaign with the running
+	// containment estimates — the convergence trail of the paper's
+	// measurement loop — plus one child span per worker when the pool is
+	// parallel. Its observer's registry counts trials, transmissions and
+	// escapes as the campaign runs and tracks the number of active workers
+	// in a gauge. Its observer's bus, when there is one, streams live
+	// progress: one "campaign_start" event, a "campaign_checkpoint" event
+	// (with the running escape rate and its Wald CI half-width) at every
 	// checkpoint, and a final "campaign_done" event. Publishing is
 	// non-blocking and only ever reads merged state, so the Result stays
 	// bit-identical to an unwatched run — slow subscribers drop events,
 	// never stall trials.
-	Bus *obs.Bus
+	Span *obs.Span
+	// Ledger, when set, receives one "campaign" provenance record with
+	// the final containment estimates (trials, escape rate, criticality
+	// loss) after a successful run. Nil records nothing.
+	Ledger *ledger.Ledger
 	// Label names this campaign in streamed events and progress surfaces
 	// (default "campaign"); give concurrent campaigns distinct labels.
 	Label string
@@ -582,8 +580,8 @@ func (r *campaignRun) checkpointEvent(done int) {
 			obs.Int("cross_transmissions", r.res.CrossNodeTransmissions),
 			obs.Float("mean_crit_loss", r.res.CriticalityLoss/float64(done)))
 	}
-	if r.c.Bus != nil {
-		r.c.Bus.Publish("campaign_checkpoint", r.label,
+	if bus := r.c.Span.Bus(); bus != nil {
+		bus.Publish("campaign_checkpoint", r.label,
 			obs.Int("trials_done", done),
 			obs.Int("trials_total", r.c.Trials),
 			obs.Float("escape_rate", rate),
@@ -599,13 +597,10 @@ func (r *campaignRun) checkpointEvent(done int) {
 func (r *campaignRun) merge(b, e int, ch *chunkResult) (stop bool, err error) {
 	r.res.absorb(ch)
 	r.done = e
-	if r.trialsCtr != nil {
-		r.trialsCtr.Add(int64(e - b))
-		r.escapesCtr.Add(int64(ch.trialsWithEscape))
-		r.crossCtr.Add(int64(ch.crossTransmissions))
-	}
-	if (r.c.Span != nil || r.c.Metrics != nil || r.c.Bus != nil) &&
-		(b/r.eventEvery != e/r.eventEvery || e == r.c.Trials) {
+	r.trialsCtr.Add(int64(e - b))
+	r.escapesCtr.Add(int64(ch.trialsWithEscape))
+	r.crossCtr.Add(int64(ch.crossTransmissions))
+	if r.c.Span != nil && (b/r.eventEvery != e/r.eventEvery || e == r.c.Trials) {
 		r.checkpointEvent(e)
 	}
 	crossedPersist := b/r.persistEvery != e/r.persistEvery || e == r.c.Trials
@@ -700,10 +695,8 @@ func (r *campaignRun) parallel(start, workers int) error {
 				span = r.c.Span.StartChild("worker", obs.Int("worker", id))
 				defer span.End()
 			}
-			if r.workersGauge != nil {
-				r.workersGauge.Add(1)
-				defer r.workersGauge.Add(-1)
-			}
+			r.workersGauge.Add(1)
+			defer r.workersGauge.Add(-1)
 			pcg := rand.NewPCG(0, 0)
 			rng := rand.New(pcg)
 			chunks, trials := 0, 0
@@ -947,13 +940,12 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 
 	// Campaign telemetry: per-10% checkpoint events carrying the running
 	// estimators, plus live counters and gauges.
-	if c.Metrics != nil {
-		run.trialsCtr = c.Metrics.Counter("faultsim_trials_total", "injection trials executed")
-		run.escapesCtr = c.Metrics.Counter("faultsim_escape_trials_total", "trials whose fault crossed a HW boundary")
-		run.crossCtr = c.Metrics.Counter("faultsim_cross_transmissions_total", "fault transmissions across HW boundaries")
-		run.escapeGauge = c.Metrics.Gauge("faultsim_escape_rate", "running escape-rate estimate")
-		run.workersGauge = c.Metrics.Gauge("faultsim_active_workers", "campaign worker goroutines currently running")
-	}
+	reg := c.Span.Metrics()
+	run.trialsCtr = reg.Counter("faultsim_trials_total", "injection trials executed")
+	run.escapesCtr = reg.Counter("faultsim_escape_trials_total", "trials whose fault crossed a HW boundary")
+	run.crossCtr = reg.Counter("faultsim_cross_transmissions_total", "fault transmissions across HW boundaries")
+	run.escapeGauge = reg.Gauge("faultsim_escape_rate", "running escape-rate estimate")
+	run.workersGauge = reg.Gauge("faultsim_active_workers", "campaign worker goroutines currently running")
 	run.eventEvery = c.Trials / 10
 	if run.eventEvery == 0 {
 		run.eventEvery = 1
@@ -967,8 +959,8 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 	if run.label == "" {
 		run.label = "campaign"
 	}
-	if c.Bus != nil {
-		c.Bus.Publish("campaign_start", run.label,
+	if bus := c.Span.Bus(); bus != nil {
+		bus.Publish("campaign_start", run.label,
 			obs.Int("trials_total", c.Trials),
 			obs.Int("trials_done", start),
 			obs.String("model", c.model().Name()),
@@ -981,8 +973,8 @@ func newCampaignRun(c *Campaign, workers int) (*campaignRun, int, error) {
 // the ledger's campaign record) and returns the merged Result.
 func (r *campaignRun) finish() Result {
 	c := r.c
-	if c.Bus != nil {
-		c.Bus.Publish("campaign_done", r.label,
+	if bus := c.Span.Bus(); bus != nil {
+		bus.Publish("campaign_done", r.label,
 			obs.Int("trials_done", r.res.Trials),
 			obs.Int("trials_total", c.Trials),
 			obs.Float("escape_rate", r.res.EscapeRate()),

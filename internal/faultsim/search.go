@@ -97,13 +97,11 @@ type SearchConfig struct {
 	CriticalThreshold float64
 	MaxHops           int
 	// Span receives one "search_eval" event per evaluation and a final
-	// "search_done" event; Metrics tracks evaluations and the best score.
-	Span    *obs.Span
-	Metrics *obs.Registry
-	// Bus, when set, streams the same evaluation trail live
-	// ("search_eval" per scenario, "search_done" at the end) over the
-	// observability fabric; publishing never blocks the climb.
-	Bus *obs.Bus
+	// "search_done" event; its observer's registry tracks evaluations and
+	// the best score, and its observer's bus, when there is one, streams
+	// the same evaluation trail live ("search_eval" per scenario,
+	// "search_done" at the end) without ever blocking the climb.
+	Span *obs.Span
 	// Ledger, when set, receives one "search_eval" provenance record per
 	// evaluation (in evaluation order) and a final "search_best" record
 	// after the climb ends. Nil records nothing.
@@ -220,10 +218,9 @@ func Search(cfg SearchConfig) (SearchResult, error) {
 		memo:   make(map[string]Evaluation),
 		replay: make(map[string]Evaluation),
 	}
-	if cfg.Metrics != nil {
-		s.evalsCtr = cfg.Metrics.Counter("faultsim_search_evals_total", "adversarial scenario evaluations")
-		s.bestGauge = cfg.Metrics.Gauge("faultsim_search_best_score", "best criticality-weighted escape rate found")
-	}
+	reg := cfg.Span.Metrics()
+	s.evalsCtr = reg.Counter("faultsim_search_evals_total", "adversarial scenario evaluations")
+	s.bestGauge = reg.Gauge("faultsim_search_best_score", "best criticality-weighted escape rate found")
 	if cfg.Resume && cfg.CheckpointPath != "" {
 		if err := s.loadCheckpoint(); err != nil {
 			return SearchResult{}, err
@@ -275,8 +272,8 @@ climb:
 			obs.Int("evaluations", len(s.log)),
 			obs.Bool("exhausted", exhausted))
 	}
-	if cfg.Bus != nil {
-		cfg.Bus.Publish("search_done", "search",
+	if bus := cfg.Span.Bus(); bus != nil {
+		bus.Publish("search_done", "search",
 			obs.String("scenario", best.Scenario.String()),
 			obs.Float("score", best.Score),
 			obs.Int("evaluations", len(s.log)),
@@ -374,10 +371,8 @@ func (s *searcher) evaluate(sc Scenario) (Evaluation, error) {
 	}
 	s.memo[sc.key()] = ev
 	s.log = append(s.log, ev)
-	if s.evalsCtr != nil {
-		s.evalsCtr.Inc()
-	}
-	if s.bestGauge != nil && ev.Score > s.bestGauge.Value() {
+	s.evalsCtr.Inc()
+	if ev.Score > s.bestGauge.Value() {
 		s.bestGauge.Set(ev.Score)
 	}
 	if s.cfg.Span != nil {
@@ -387,8 +382,8 @@ func (s *searcher) evaluate(sc Scenario) (Evaluation, error) {
 			obs.Float("escape_rate", ev.EscapeRate),
 			obs.Bool("replayed", replayed))
 	}
-	if s.cfg.Bus != nil {
-		s.cfg.Bus.Publish("search_eval", "search",
+	if bus := s.cfg.Span.Bus(); bus != nil {
+		bus.Publish("search_eval", "search",
 			obs.String("scenario", sc.String()),
 			obs.Float("score", ev.Score),
 			obs.Float("escape_rate", ev.EscapeRate),

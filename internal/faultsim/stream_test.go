@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -30,7 +31,7 @@ func TestCampaignBusDeterminism(t *testing.T) {
 		sub := bus.Subscribe(0, 4)
 		watched := campaign(g, hw, "")
 		watched.Workers = workers
-		watched.Bus = bus
+		watched.Span = obs.New(obs.WithBus(bus)).StartSpan("campaign")
 		watched.Label = "watched"
 		got, err := Run(watched)
 		if err != nil {
@@ -71,14 +72,15 @@ func TestCampaignBusDeterminism(t *testing.T) {
 
 // TestCampaignBusEvents checks the progress-event skeleton: one
 // campaign_start, checkpoints carrying a shrinking-capable half_width,
-// one campaign_done, all labelled.
+// one campaign_done, all labelled. The campaign reaches the bus through
+// its span's observer, which mirrors the span itself onto the bus too.
 func TestCampaignBusEvents(t *testing.T) {
 	g, hw := web(t)
 	bus := obs.NewBus(256)
 	sub := bus.Subscribe(0, 256)
 	c := campaign(g, hw, "")
 	c.Workers = 2
-	c.Bus = bus
+	c.Span = obs.New(obs.WithBus(bus)).StartSpan("campaign")
 	c.Label = "lbl"
 	res, err := Run(c)
 	if err != nil {
@@ -91,6 +93,9 @@ func TestCampaignBusEvents(t *testing.T) {
 		ev, ok := sub.Next(nil)
 		if !ok {
 			break
+		}
+		if !strings.HasPrefix(ev.Kind, "campaign_") {
+			continue // the span's own mirrored start and checkpoint events
 		}
 		if ev.Name != "lbl" {
 			t.Fatalf("event %q has label %q, want lbl", ev.Kind, ev.Name)
@@ -129,7 +134,8 @@ func TestSearchBusEvents(t *testing.T) {
 	bus := obs.NewBus(1024)
 	sub := bus.Subscribe(0, 1024)
 	sr, err := Search(SearchConfig{
-		Graph: g, HWOf: hw, Trials: 200, Seed: 5, MaxEvals: 6, Bus: bus,
+		Graph: g, HWOf: hw, Trials: 200, Seed: 5, MaxEvals: 6,
+		Span: obs.New(obs.WithBus(bus)).StartSpan("search"),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -301,6 +301,24 @@ func (s *Span) Profiler() *Profiler {
 	return s.o.Profiler()
 }
 
+// Metrics returns the owning observer's registry (nil on a nil span), so
+// a stage handed only its span can still count into the run's metrics.
+func (s *Span) Metrics() *Registry {
+	if s == nil {
+		return nil
+	}
+	return s.o.Metrics()
+}
+
+// Bus returns the owning observer's streaming bus (nil on a nil span or
+// when the observer has none), for a stage's typed progress events.
+func (s *Span) Bus() *Bus {
+	if s == nil {
+		return nil
+	}
+	return s.o.Bus()
+}
+
 // Name returns the span's name ("" on nil).
 func (s *Span) Name() string {
 	if s == nil {

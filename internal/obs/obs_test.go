@@ -36,7 +36,8 @@ func TestNilObserverIsInert(t *testing.T) {
 	if s.StartChild("c") != nil {
 		t.Error("nil span handed out a child")
 	}
-	if s.Name() != "" || s.Duration() != 0 || s.Children() != nil || s.Events() != nil {
+	if s.Name() != "" || s.Duration() != 0 || s.Children() != nil || s.Events() != nil ||
+		s.Metrics() != nil || s.Bus() != nil {
 		t.Error("nil span leaked state")
 	}
 	if o.Metrics() != nil || o.Roots() != nil || o.Logger() != nil {
@@ -44,6 +45,20 @@ func TestNilObserverIsInert(t *testing.T) {
 	}
 	if got := o.Export(); len(got.Spans) != 0 || len(got.ChromeEvents) != 0 {
 		t.Error("nil observer exported spans")
+	}
+}
+
+// TestSpanReachesObserverChannels: a span hands out its observer's
+// registry and bus, at any depth of the tree.
+func TestSpanReachesObserverChannels(t *testing.T) {
+	bus := NewBus(0)
+	o := New(WithBus(bus))
+	child := o.StartSpan("root").StartChild("stage")
+	if child.Metrics() != o.Metrics() || child.Bus() != bus {
+		t.Error("span does not reach its observer's registry and bus")
+	}
+	if New().StartSpan("quiet").Bus() != nil {
+		t.Error("span of a bus-less observer returned a bus")
 	}
 }
 

@@ -81,14 +81,12 @@ type Config struct {
 	// cost two evaluations per spec parameter).
 	SkipSensitivity bool
 	// Span receives one "robust_level" event per ladder level and one
-	// "robust_sensitivity" event per flipped parameter; Metrics tracks
-	// evaluations and the stable fraction at the widest ε.
-	Span    *obs.Span
-	Metrics *obs.Registry
-	// Bus, when set, streams live certification progress: one
-	// "certify_member" event per ensemble evaluation, one "certify_level"
-	// event per ladder ε, and a final "certify_done" event.
-	Bus *obs.Bus
+	// "robust_sensitivity" event per flipped parameter. Its observer's
+	// registry tracks evaluations and the stable fraction at the widest ε;
+	// its observer's bus, when there is one, streams live certification
+	// progress: one "certify_member" event per ensemble evaluation, one
+	// "certify_level" event per ladder ε, and a final "certify_done" event.
+	Span *obs.Span
 	// Ledger, when set, receives one "certify_level" provenance record
 	// per ladder ε and a final "certify" summary record. Nil records
 	// nothing.
@@ -265,12 +263,9 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 		samples = 20
 	}
 
-	var evalsCtr *obs.Counter
-	var stableGauge *obs.Gauge
-	if cfg.Metrics != nil {
-		evalsCtr = cfg.Metrics.Counter("robust_evals_total", "perturbed integration evaluations")
-		stableGauge = cfg.Metrics.Gauge("robust_stable_fraction", "placement-stability fraction at the widest epsilon")
-	}
+	reg, bus := cfg.Span.Metrics(), cfg.Span.Bus()
+	evalsCtr := reg.Counter("robust_evals_total", "perturbed integration evaluations")
+	stableGauge := reg.Gauge("robust_stable_fraction", "placement-stability fraction at the widest epsilon")
 	evals := 0
 	measure := func(s *spec.System, node string) (Outcome, error) {
 		if cfg.Ctx != nil {
@@ -279,9 +274,7 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 			}
 		}
 		evals++
-		if evalsCtr != nil {
-			evalsCtr.Inc()
-		}
+		evalsCtr.Inc()
 		return eval(s)
 	}
 
@@ -332,8 +325,8 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 				}
 				lvl.Errors++
 				stable[i] = false
-				if cfg.Bus != nil {
-					cfg.Bus.Publish("certify_member", "certify",
+				if bus != nil {
+					bus.Publish("certify_member", "certify",
 						obs.Float("epsilon", e),
 						obs.Int("sample", i),
 						obs.Bool("error", true))
@@ -350,8 +343,8 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 			if out.Placement != base.Placement {
 				stable[i] = false
 			}
-			if cfg.Bus != nil {
-				cfg.Bus.Publish("certify_member", "certify",
+			if bus != nil {
+				bus.Publish("certify_member", "certify",
 					obs.Float("epsilon", e),
 					obs.Int("sample", i),
 					obs.Bool("stable", stable[i]),
@@ -391,19 +384,17 @@ func Certify(sys *spec.System, eval Evaluator, cfg Config) (*Certificate, error)
 				obs.Float("worst_escape_delta", lvl.WorstEscapeDelta),
 				obs.Int("errors", lvl.Errors))
 		}
-		if cfg.Bus != nil {
-			cfg.Bus.Publish("certify_level", "certify",
+		if bus != nil {
+			bus.Publish("certify_level", "certify",
 				obs.Float("epsilon", e),
 				obs.Float("stable_frac", lvl.StableFraction),
 				obs.Float("worst_escape_delta", lvl.WorstEscapeDelta),
 				obs.Int("errors", lvl.Errors))
 		}
 	}
-	if stableGauge != nil {
-		stableGauge.Set(cert.StableAt())
-	}
-	if cfg.Bus != nil {
-		cfg.Bus.Publish("certify_done", "certify",
+	stableGauge.Set(cert.StableAt())
+	if bus != nil {
+		bus.Publish("certify_done", "certify",
 			obs.Int("levels", len(cert.Levels)),
 			obs.Float("stable_frac_widest", cert.StableAt()))
 	}

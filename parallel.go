@@ -47,20 +47,32 @@ func serialAttempts(ctx context.Context, o *options, root *obs.Span, res *Result
 			return err
 		}
 		if i+1 < len(chain) {
-			deg := Degradation{Stage: stageOf(err, "condense"), Strategy: strat, Reason: err.Error()}
-			res.Degradations = append(res.Degradations, deg)
-			o.ledger.Append(ledger.Record{
-				Kind: ledger.KindDegrade, Stage: deg.Stage, Rule: strat.String(),
-				Result: chain[i+1].String(), Detail: deg.Reason, Attempt: i + 1,
-			})
-			root.Event("degrade",
-				obs.String("stage", deg.Stage),
-				obs.String("from", strat.String()),
-				obs.String("to", chain[i+1].String()),
-				obs.String("reason", deg.Reason))
+			degrade(o, root, res, i, strat, err, err.Error(), chain[i+1].String())
 		}
 	}
 	return lastErr
+}
+
+// degrade books attempt i of the fallback chain, strategy strat, as
+// abandoned for reason, the same way on every channel: a Degradation on
+// res, a degrade ledger record and a degrade event on the run's root span.
+// The stage comes from err's classification (default "condense"); to
+// names the strategy the run moved on to, "" when the chain was exhausted.
+func degrade(o *options, root *obs.Span, res *Result, i int, strat Strategy, err error, reason, to string) {
+	deg := Degradation{Stage: stageOf(err, "condense"), Strategy: strat, Reason: reason}
+	res.Degradations = append(res.Degradations, deg)
+	o.ledger.Append(ledger.Record{
+		Kind: ledger.KindDegrade, Stage: deg.Stage, Rule: deg.Strategy.String(),
+		Result: to, Detail: deg.Reason, Attempt: i + 1,
+	})
+	if root == nil {
+		return
+	}
+	attrs := []obs.Attr{obs.String("stage", deg.Stage), obs.String("from", deg.Strategy.String())}
+	if to != "" {
+		attrs = append(attrs, obs.String("to", to))
+	}
+	root.Event("degrade", append(attrs, obs.String("reason", deg.Reason))...)
 }
 
 // raceAttempts runs every strategy of the fallback chain concurrently — a
@@ -145,16 +157,7 @@ func raceAttempts(ctx context.Context, o *options, root *obs.Span, res *Result,
 		// serial chain — degradations for all but the last strategy, the
 		// last one's error reported.
 		for i, oc := range outcomes[:len(outcomes)-1] {
-			deg := Degradation{Stage: stageOf(oc.err, "condense"), Strategy: chain[i], Reason: oc.err.Error()}
-			res.Degradations = append(res.Degradations, deg)
-			o.ledger.Append(ledger.Record{
-				Kind: ledger.KindDegrade, Stage: deg.Stage, Rule: chain[i].String(),
-				Detail: deg.Reason, Attempt: i + 1,
-			})
-			root.Event("degrade",
-				obs.String("stage", deg.Stage),
-				obs.String("from", chain[i].String()),
-				obs.String("reason", deg.Reason))
+			degrade(o, root, res, i, chain[i], oc.err, oc.err.Error(), "")
 		}
 		return outcomes[len(outcomes)-1].err, nil
 	}
@@ -188,17 +191,7 @@ func raceAttempts(ctx context.Context, o *options, root *obs.Span, res *Result,
 		if oc.err != nil && !isCancellation(oc.err) {
 			reason = oc.err.Error()
 		}
-		deg := Degradation{Stage: stageOf(oc.err, "condense"), Strategy: chain[i], Reason: reason}
-		res.Degradations = append(res.Degradations, deg)
-		o.ledger.Append(ledger.Record{
-			Kind: ledger.KindDegrade, Stage: deg.Stage, Rule: chain[i].String(),
-			Result: chain[winner].String(), Detail: reason, Attempt: i + 1,
-		})
-		root.Event("degrade",
-			obs.String("stage", deg.Stage),
-			obs.String("from", chain[i].String()),
-			obs.String("to", chain[winner].String()),
-			obs.String("reason", deg.Reason))
+		degrade(o, root, res, i, chain[i], oc.err, reason, chain[winner].String())
 	}
 	return nil, nil
 }

@@ -70,22 +70,17 @@ func CertifyRobustness(sys *System, cfg RobustnessConfig) (*Certificate, error) 
 		trials = 2000
 	}
 
-	var observer *obs.Observer
 	var o options
 	for _, opt := range cfg.Options {
 		opt(&o)
 	}
-	observer = o.observer
-
 	var span *obs.Span
-	var reg *obs.Registry
-	if observer != nil {
-		span = observer.StartSpan("certify_robustness",
+	if o.observer != nil {
+		span = o.observer.StartSpan("certify_robustness",
 			obs.String("system", sys.Name),
 			obs.Int("samples", cfg.Samples),
 			obs.Int("trials", trials))
 		defer span.End()
-		reg = observer.Metrics()
 	}
 
 	// The ensemble members must not write onto the caller's ledger — only
@@ -117,8 +112,6 @@ func CertifyRobustness(sys *System, cfg RobustnessConfig) (*Certificate, error) 
 		Seed:            cfg.Seed,
 		SkipSensitivity: cfg.SkipSensitivity,
 		Span:            span,
-		Metrics:         reg,
-		Bus:             observer.Bus(),
 		Ledger:          o.ledger,
 		Ctx:             cfg.Ctx,
 	})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sched"
 )
 
 // certCfg keeps the paper-example certification cheap: a small ensemble
@@ -78,7 +77,6 @@ func TestCertifyRobustnessSensitivities(t *testing.T) {
 // TestCertifyRobustnessObserver: WithObserver in the options must hang a
 // certify_robustness span with one robust_level event per ε.
 func TestCertifyRobustnessObserver(t *testing.T) {
-	defer sched.Observe(nil)
 	o := obs.New()
 	cfg := certCfg(7, 0, 0.05)
 	cfg.Options = []Option{WithObserver(o)}
