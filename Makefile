@@ -4,9 +4,9 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet build test race bench bench-json fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln loc
+.PHONY: check fmt vet build test race bench bench-json fuzz-smoke ledger-diff stream-check fabric-check scenario-check perfbench-check cover vuln loc
 
-check: fmt vet build test race bench fuzz-smoke ledger-diff stream-check fabric-check scenario-check cover vuln
+check: fmt vet build test race bench fuzz-smoke ledger-diff stream-check fabric-check scenario-check perfbench-check cover vuln
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -59,6 +59,12 @@ bench-json:
 # with `go run ./cmd/scenariocheck -update` and commit the diff.
 scenario-check:
 	$(GO) run -race ./cmd/scenariocheck
+
+# perfbench-check vets and tests the repository benchmark, which lives in
+# its own module (perfbench/, see its README) and so is outside ./... of
+# every target above: its negative controls and a tiny smoke run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # cover prints per-package statement coverage and enforces the floor on
 # the scenario generator: internal/scengen below 85% fails the gate (it

@@ -375,7 +375,7 @@ func BenchmarkE14TopologySensitivity(b *testing.B) {
 // BenchmarkIntegrateScaling measures pipeline wall time across problem
 // sizes (the engineering-scalability series).
 func BenchmarkIntegrateScaling(b *testing.B) {
-	for _, n := range []int{24, 48, 96} {
+	for _, n := range []int{24, 48, 96, 192} {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			sys, err := experiments.Synthesize(experiments.SynthConfig{
 				Processes: n, EdgesPerNode: 2.5, ReplicatedFraction: 0.25,

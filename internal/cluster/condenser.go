@@ -68,7 +68,9 @@ type Condenser struct {
 	// Ctx, when set, is polled cooperatively at the head of every
 	// reduction loop so a deadline or cancellation aborts the condensation
 	// promptly (with a stage-classified error wrapping Ctx.Err()) instead
-	// of after the full O(n²·sched) sweep. Nil disables the checks.
+	// of after the whole reduction: up to n merge steps, each scanning
+	// O(n²) pairs and running a feasibility test on every pair that would
+	// improve the best so far. Nil disables the checks.
 	Ctx context.Context
 	// Workers sizes the goroutine pool of the Eq. 3 separation sweeps
 	// inside ReduceBySeparation (0 = GOMAXPROCS). The reduction is
@@ -82,6 +84,11 @@ type Condenser struct {
 	metrics    condMetrics
 	led        *ledger.Ledger
 	ledAttempt int
+	// mutual and sizes are H1's pair-scan scratch (the mutual-influence
+	// matrix and member counts of the current nodes), reused across merge
+	// steps.
+	mutual []float64
+	sizes  []int
 }
 
 // checkCtx is the cooperative cancellation check-point of the reduction

@@ -43,9 +43,17 @@ func (c *Condenser) ReduceByInfluence(target int) error {
 // bestFeasiblePair returns the feasible pair with the highest mutual
 // influence; ties break lexicographically. Pairs with zero mutual
 // influence are considered last (preferring small clusters), so reduction
-// can always proceed when any feasible pair exists.
+// can always proceed when any feasible pair exists. Mutual influence and
+// member counts are read once per step into the condenser's reused
+// buffers; CanCombine runs only on pairs that would improve the best.
 func (c *Condenser) bestFeasiblePair() (string, string, bool) {
 	nodes := c.G.Nodes()
+	n := len(nodes)
+	c.mutual = c.G.MutualInfluenceMatrix(nodes, c.mutual)
+	c.sizes = c.sizes[:0]
+	for _, id := range nodes {
+		c.sizes = append(c.sizes, graph.MemberCount(id))
+	}
 	bestA, bestB := "", ""
 	bestMutual := -1.0
 	bestSize := 0
@@ -53,9 +61,10 @@ func (c *Condenser) bestFeasiblePair() (string, string, bool) {
 		if c.Ctx != nil && c.Ctx.Err() != nil {
 			return "", "", false // caller re-checks and reports the cancellation
 		}
-		for _, b := range nodes[i+1:] {
-			m := c.G.MutualInfluence(a, b)
-			size := len(graph.Members(a)) + len(graph.Members(b))
+		row := c.mutual[i*n : (i+1)*n]
+		for j := i + 1; j < n; j++ {
+			m := row[j]
+			size := c.sizes[i] + c.sizes[j]
 			better := false
 			switch {
 			case m > bestMutual:
@@ -69,6 +78,7 @@ func (c *Condenser) bestFeasiblePair() (string, string, bool) {
 			if !better {
 				continue
 			}
+			b := nodes[j]
 			if ok, _ := c.CanCombine(a, b); !ok {
 				continue
 			}

@@ -178,6 +178,17 @@ func Members(id string) []string {
 	return strings.Split(inner, ",")
 }
 
+// MemberCount returns len(Members(id)) without splitting the id.
+func MemberCount(id string) int {
+	if !strings.HasPrefix(id, "{") || !strings.HasSuffix(id, "}") {
+		return 1
+	}
+	if len(id) == 2 {
+		return 0
+	}
+	return strings.Count(id, ",") + 1
+}
+
 // flattenMembers expands any cluster members into their base ids so that
 // repeated contraction produces flat "{a,b,c}" ids rather than nested ones.
 func flattenMembers(g *Graph, members []string) []string {

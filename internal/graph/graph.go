@@ -16,6 +16,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -242,6 +243,34 @@ func (g *Graph) Edges() []Edge {
 // the sum of influences in each direction").
 func (g *Graph) MutualInfluence(a, b string) float64 {
 	return g.Influence(a, b) + g.Influence(b, a)
+}
+
+// MutualInfluenceMatrix fills buf with the symmetric row-major n×n matrix
+// of mutual influence over ids (n = len(ids), sorted): entry i*n+j equals
+// MutualInfluence(ids[i], ids[j]) bit for bit. Edges leaving ids are
+// ignored. buf is reused when it holds n*n values and grown otherwise;
+// the filled slice is returned.
+func (g *Graph) MutualInfluenceMatrix(ids []string, buf []float64) []float64 {
+	n := len(ids)
+	if cap(buf) < n*n {
+		buf = make([]float64, n*n)
+	}
+	buf = buf[:n*n]
+	clear(buf)
+	for i, id := range ids {
+		for to, e := range g.out[id] {
+			if j, ok := slices.BinarySearch(ids, to); ok {
+				buf[i*n+j] = e.Weight
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m := buf[i*n+j] + buf[j*n+i]
+			buf[i*n+j], buf[j*n+i] = m, m
+		}
+	}
+	return buf
 }
 
 // Clone returns a deep copy of the graph.

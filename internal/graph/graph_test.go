@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -408,6 +409,46 @@ func TestMembersRoundTrip(t *testing.T) {
 				t.Errorf("Members(%q) = %v, want %v", tt.id, got, tt.want)
 			}
 		}
+		if n := MemberCount(tt.id); n != len(tt.want) {
+			t.Errorf("MemberCount(%q) = %d, want %d", tt.id, n, len(tt.want))
+		}
+	}
+}
+
+func TestMutualInfluenceMatrix(t *testing.T) {
+	g := New()
+	mustAdd(t, g, "a", "b", "c", "d")
+	mustEdge(t, g, "a", "b", 0.1)
+	mustEdge(t, g, "b", "a", 0.2)
+	mustEdge(t, g, "c", "a", 0.7)
+	mustEdge(t, g, "b", "d", 0.3)
+	if err := g.AddReplicaEdge("c", "d"); err != nil {
+		t.Fatal(err)
+	}
+	ids := g.Nodes()
+	n := len(ids)
+	// A stale, oversized buffer must be cleared and reused.
+	buf := make([]float64, 0, 2*n*n)
+	buf = append(buf, 9, 9, 9)
+	m := g.MutualInfluenceMatrix(ids, buf)
+	if len(m) != n*n || &m[0] != &buf[0] {
+		t.Fatalf("matrix has %d entries (reused %v), want %d in the caller's buffer", len(m), &m[0] == &buf[0], n*n)
+	}
+	for i, a := range ids {
+		for j, b := range ids {
+			want := 0.0
+			if i != j {
+				want = g.MutualInfluence(a, b)
+			}
+			if m[i*n+j] != want {
+				t.Errorf("entry (%s,%s) = %g, want %g", a, b, m[i*n+j], want)
+			}
+		}
+	}
+	// Over a sorted subset, edges leaving the subset are ignored.
+	sub := g.MutualInfluenceMatrix([]string{"a", "c"}, nil)
+	if want := []float64{0, 0.7, 0.7, 0}; !reflect.DeepEqual(sub, want) {
+		t.Errorf("subset matrix = %v, want %v", sub, want)
 	}
 }
 

@@ -146,6 +146,10 @@ func eventsHandler(b *Bus) http.Handler {
 				from = n + 1
 			}
 		}
+		// Subscribe before the headers go out, so a client that has the
+		// response is already counted as a subscriber.
+		sub := b.Subscribe(from, 1024)
+		defer sub.Close()
 		if sse {
 			w.Header().Set("Content-Type", "text/event-stream")
 			w.Header().Set("Cache-Control", "no-cache")
@@ -154,9 +158,6 @@ func eventsHandler(b *Bus) http.Handler {
 		}
 		w.WriteHeader(http.StatusOK)
 		flusher.Flush()
-
-		sub := b.Subscribe(from, 1024)
-		defer sub.Close()
 		for {
 			ev, ok := sub.Next(req.Context())
 			if !ok {

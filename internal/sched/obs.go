@@ -7,9 +7,9 @@ import (
 	"repro/internal/obs"
 )
 
-// instruments caches the oracle's metric handles so the hot path pays one
-// atomic pointer load when uninstrumented and no registry lookups when
-// instrumented.
+// instruments caches the oracle's metric handles so the hot path pays two
+// atomic pointer loads per call when uninstrumented (observedNow and
+// record) and no registry lookups when instrumented.
 type instruments struct {
 	calls      *obs.Counter
 	feasible   *obs.Counter

@@ -19,8 +19,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Job is a single-shot job with a release time (EST), absolute deadline
@@ -59,13 +61,8 @@ func (j Job) Window() float64 { return j.TCD - j.EST }
 // explicitly. Actual is NOT constrained: +Inf there legitimately models a
 // task stuck in an infinite loop (the paper's R4 discussion).
 func (j Job) Validate() error {
-	for _, v := range []struct {
-		name string
-		val  float64
-	}{{"EST", j.EST}, {"TCD", j.TCD}, {"CT", j.CT}} {
-		if math.IsNaN(v.val) || math.IsInf(v.val, 0) {
-			return fmt.Errorf("%w: %s has non-finite %s %g", ErrBadJob, j.Name, v.name, v.val)
-		}
+	if err := j.checkFinite(); err != nil {
+		return err
 	}
 	switch {
 	case j.CT < 0:
@@ -74,6 +71,19 @@ func (j Job) Validate() error {
 		return fmt.Errorf("%w: %s has TCD %g before EST %g", ErrBadJob, j.Name, j.TCD, j.EST)
 	case j.CT > j.Window():
 		return fmt.Errorf("%w: %s needs CT %g in window %g", ErrBadJob, j.Name, j.CT, j.Window())
+	}
+	return nil
+}
+
+// checkFinite rejects a NaN or infinite EST, TCD or CT.
+func (j Job) checkFinite() error {
+	for _, v := range []struct {
+		name string
+		val  float64
+	}{{"EST", j.EST}, {"TCD", j.TCD}, {"CT", j.CT}} {
+		if math.IsNaN(v.val) || math.IsInf(v.val, 0) {
+			return fmt.Errorf("%w: %s has non-finite %s %g", ErrBadJob, j.Name, v.name, v.val)
+		}
 	}
 	return nil
 }
@@ -88,11 +98,20 @@ var ErrBadJob = errors.New("sched: invalid job")
 
 // Feasible reports whether the given single-shot jobs can all be scheduled
 // on one processor (preemptive EDF feasibility, decided exactly by the
-// processor-demand criterion). It also returns the tightest window as a
-// human-readable witness when infeasible.
+// processor-demand criterion). It also returns the tightest window — the
+// first window of least slack in (EST, TCD) order — as a human-readable
+// witness; callers normally read it only when the set is infeasible.
+//
+// Cost: for k jobs with u distinct ESTs and v distinct TCDs the sweep
+// visits u·v windows and sums CT over the jobs released inside each, so
+// O(u·v·k) time, O(k³) in the worst case. Demand is summed in input order,
+// which keeps every verdict bit-stable against the direct definition. The
+// sweep allocates nothing in steady state (its scratch is pooled); the
+// witness is formatted once, after the sweep, for the tightest window
+// only, so a call costs a constant handful of allocations whatever k is.
 //
 // When instrumentation is installed via Observe, every call books its
-// verdict and latency; otherwise the overhead is one atomic load.
+// verdict and latency; otherwise the overhead is two atomic loads.
 func Feasible(jobs []Job) (bool, string, error) {
 	start, observed := observedNow()
 	for _, j := range jobs {
@@ -105,39 +124,84 @@ func Feasible(jobs []Job) (bool, string, error) {
 		record(start, true, observed)
 		return true, "", nil
 	}
-	starts := make([]float64, 0, len(jobs))
-	ends := make([]float64, 0, len(jobs))
+	sc := scratchPool.Get().(*scratch)
+	starts, ends := sc.starts[:0], sc.ends[:0]
 	for _, j := range jobs {
 		starts = append(starts, j.EST)
 		ends = append(ends, j.TCD)
 	}
 	sort.Float64s(starts)
 	sort.Float64s(ends)
+	// A repeated EST or TCD yields the same window again, and the strict <
+	// below keeps a window's first occurrence, so duplicates are skipped.
+	starts, ends = slices.Compact(starts), slices.Compact(ends)
 	worstSlack := math.Inf(1)
-	witness := ""
+	var worstS, worstD, worstDemand float64
+	released := sc.released[:0]
 	for _, s := range starts {
+		released = released[:0]
+		for i := range jobs {
+			if jobs[i].EST >= s {
+				released = append(released, i)
+			}
+		}
 		for _, d := range ends {
 			if d <= s {
 				continue
 			}
 			demand := 0.0
-			var inside []string
-			for _, j := range jobs {
-				if j.EST >= s && j.TCD <= d {
-					demand += j.CT
-					inside = append(inside, j.Name)
+			for _, i := range released {
+				if jobs[i].TCD <= d {
+					demand += jobs[i].CT
 				}
 			}
 			slack := (d - s) - demand
 			if slack < worstSlack {
-				worstSlack = slack
-				witness = fmt.Sprintf("window [%g,%g): demand %g of %g {%s}",
-					s, d, demand, d-s, strings.Join(inside, ","))
+				worstSlack, worstS, worstD, worstDemand = slack, s, d, demand
 			}
 		}
 	}
+	sc.starts, sc.ends, sc.released = starts, ends, released
+	scratchPool.Put(sc)
+	witness := ""
+	if worstSlack < math.Inf(1) {
+		witness = windowWitness(jobs, worstS, worstD, worstDemand)
+	}
 	record(start, worstSlack >= 0, observed)
 	return worstSlack >= 0, witness, nil
+}
+
+// scratch is the working storage of one Feasible sweep.
+type scratch struct {
+	starts, ends []float64
+	released     []int // indices of the jobs released at or after a start
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// windowWitness formats the window [s, d) and the names of the jobs inside
+// it, in input order.
+func windowWitness(jobs []Job, s, d, demand float64) string {
+	size := 0
+	for _, j := range jobs {
+		if j.EST >= s && j.TCD <= d {
+			size += len(j.Name) + 1
+		}
+	}
+	// Sized up front: the names cost one allocation whatever their count.
+	var names strings.Builder
+	names.Grow(size)
+	first := true
+	for _, j := range jobs {
+		if j.EST >= s && j.TCD <= d {
+			if !first {
+				names.WriteByte(',')
+			}
+			names.WriteString(j.Name)
+			first = false
+		}
+	}
+	return fmt.Sprintf("window [%g,%g): demand %g of %g {%s}", s, d, demand, d-s, names.String())
 }
 
 // FeasibleSet is a convenience wrapper returning only the boolean verdict;
@@ -232,9 +296,16 @@ const defaultHorizon = 1e6
 // budget models the paper's "task in an infinite loop" timing fault: under
 // NonPreemptiveEDF it occupies the processor once started (until the
 // horizon); under PreemptiveEDF the runtime kills it when its budget is
-// exhausted, containing the fault.
+// exhausted, containing the fault. A job with a non-finite EST, TCD or CT,
+// a negative CT or a TCD before its EST is rejected with ErrBadJob; unlike
+// Validate, a CT beyond the window is accepted (the job simply misses).
 func Simulate(jobs []Job, policy Policy) (Schedule, error) {
 	for _, j := range jobs {
+		// A NaN time would poison the event clock, and the loop below
+		// would never finish.
+		if err := j.checkFinite(); err != nil {
+			return Schedule{}, err
+		}
 		if j.CT < 0 || j.TCD < j.EST {
 			return Schedule{}, fmt.Errorf("%w: %s", ErrBadJob, j.Name)
 		}

@@ -2,10 +2,14 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestJobValidate(t *testing.T) {
@@ -370,5 +374,210 @@ func TestSimulateDeterministicTieBreak(t *testing.T) {
 			t.Errorf("non-deterministic schedule: %+v vs %+v",
 				s1.Outcomes[i], s2.Outcomes[i])
 		}
+	}
+}
+
+// feasibleReference is the body of Feasible before the allocation-free
+// sweep, kept verbatim as the oracle of TestFeasibleMatchesReference: it
+// rebuilds the name list of every window and formats a witness on every
+// slack improvement.
+func feasibleReference(jobs []Job) (bool, string, error) {
+	start, observed := observedNow()
+	for _, j := range jobs {
+		if err := j.Validate(); err != nil {
+			record(start, false, observed)
+			return false, "", err
+		}
+	}
+	if len(jobs) <= 1 {
+		record(start, true, observed)
+		return true, "", nil
+	}
+	starts := make([]float64, 0, len(jobs))
+	ends := make([]float64, 0, len(jobs))
+	for _, j := range jobs {
+		starts = append(starts, j.EST)
+		ends = append(ends, j.TCD)
+	}
+	sort.Float64s(starts)
+	sort.Float64s(ends)
+	worstSlack := math.Inf(1)
+	witness := ""
+	for _, s := range starts {
+		for _, d := range ends {
+			if d <= s {
+				continue
+			}
+			demand := 0.0
+			var inside []string
+			for _, j := range jobs {
+				if j.EST >= s && j.TCD <= d {
+					demand += j.CT
+					inside = append(inside, j.Name)
+				}
+			}
+			slack := (d - s) - demand
+			if slack < worstSlack {
+				worstSlack = slack
+				witness = fmt.Sprintf("window [%g,%g): demand %g of %g {%s}",
+					s, d, demand, d-s, strings.Join(inside, ","))
+			}
+		}
+	}
+	record(start, worstSlack >= 0, observed)
+	return worstSlack >= 0, witness, nil
+}
+
+// randomJobs draws a job set of k jobs for the oracle equivalence test.
+// ESTs and window lengths come from a grid, so values repeat; CTs are
+// multiples of 0.1, which binary floating point cannot represent exactly,
+// so any change in summation order would show as a one-ulp difference in
+// the witness. Dense sets (narrow grid, high load) are mostly infeasible,
+// sparse ones mostly feasible. With invalid set, one job is made invalid.
+func randomJobs(rng *rand.Rand, k int, dense, invalid bool) []Job {
+	grid, unit, load := 12, 1.0, 0.9
+	if !dense {
+		grid, unit, load = 40*k+1, 2.5, 0.3
+	}
+	jobs := make([]Job, k)
+	for i := range jobs {
+		est := float64(rng.Intn(grid)) * unit
+		window := float64(1+rng.Intn(8)) * unit
+		tenths := int(window * load * 10)
+		ct := float64(rng.Intn(tenths+1)) * 0.1
+		for ct > window {
+			ct -= 0.1
+		}
+		jobs[i] = Job{Name: fmt.Sprintf("j%d", rng.Intn(2*k+1)), EST: est, TCD: est + window, CT: ct}
+	}
+	if invalid && k > 0 {
+		bad := &jobs[rng.Intn(k)]
+		switch rng.Intn(3) {
+		case 0:
+			bad.CT = bad.TCD - bad.EST + 0.1
+		case 1:
+			bad.TCD = bad.EST - 1
+		default:
+			bad.EST = math.NaN()
+		}
+	}
+	return jobs
+}
+
+// TestFeasibleMatchesReference pins Feasible to the reference sweep on
+// 2,600 seeded job sets of 0 to 64 jobs: verdict, witness and error text
+// must be identical.
+func TestFeasibleMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260417))
+	var feasible, infeasible, invalid int
+	for c := 0; c < 2600; c++ {
+		k := c % 65
+		jobs := randomJobs(rng, k, c%3 == 0, c%40 == 7)
+		okGot, witGot, errGot := Feasible(jobs)
+		okWant, witWant, errWant := feasibleReference(jobs)
+		if okGot != okWant || witGot != witWant || (errGot == nil) != (errWant == nil) ||
+			(errGot != nil && errGot.Error() != errWant.Error()) {
+			t.Fatalf("case %d (k=%d): Feasible = (%v, %q, %v), reference (%v, %q, %v)\njobs %v",
+				c, k, okGot, witGot, errGot, okWant, witWant, errWant, jobs)
+		}
+		switch {
+		case errWant != nil:
+			invalid++
+		case okWant && k > 1:
+			feasible++
+		case !okWant:
+			infeasible++
+		}
+	}
+	t.Logf("%d feasible, %d infeasible, %d invalid", feasible, infeasible, invalid)
+	// The generator must exercise every outcome, or the test proves little.
+	if feasible < 300 || infeasible < 300 || invalid < 30 {
+		t.Errorf("generator coverage: %d feasible, %d infeasible, %d invalid sets", feasible, infeasible, invalid)
+	}
+}
+
+// TestSimulateRejectsNonFinite is the regression test for a NaN EST, which
+// used to poison the event clock so that Simulate never returned. Each
+// call runs under a timeout so a regression fails instead of hanging.
+func TestSimulateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []Job{
+		{Name: "nan-est", EST: nan, TCD: 10, CT: 1},
+		{Name: "nan-tcd", EST: 0, TCD: nan, CT: 1},
+		{Name: "nan-ct", EST: 0, TCD: 10, CT: nan},
+		{Name: "inf-tcd", EST: 0, TCD: inf, CT: 1},
+		{Name: "inf-est", EST: -inf, TCD: 10, CT: 1},
+	} {
+		jobs := []Job{{Name: "ok", EST: 0, TCD: 5, CT: 2}, bad}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Simulate(jobs, PreemptiveEDF)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if !errors.Is(err, ErrBadJob) {
+				t.Errorf("%s: err = %v, want ErrBadJob", bad.Name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: Simulate did not return", bad.Name)
+		}
+	}
+	// An unbounded Actual and a CT beyond the window stay legal.
+	s, err := Simulate([]Job{
+		{Name: "stuck", EST: 0, TCD: 10, CT: 3, Actual: inf},
+		{Name: "over", EST: 0, TCD: 2, CT: 4},
+	}, PreemptiveEDF)
+	if err != nil {
+		t.Fatalf("legal jobs rejected: %v", err)
+	}
+	if s.AllMet() {
+		t.Error("overrunning jobs reported as meeting their deadlines")
+	}
+}
+
+// staggeredJobs returns k jobs ⟨i, i+20, 1⟩: overlapping windows, so every
+// sweep window holds many jobs, and feasible, so the sweep runs to the end.
+func staggeredJobs(k int) []Job {
+	jobs := make([]Job, k)
+	for i := range jobs {
+		jobs[i] = Job{Name: fmt.Sprintf("p%d", i), EST: float64(i), TCD: float64(i + 20), CT: 1}
+	}
+	return jobs
+}
+
+// TestFeasibleAllocsBounded pins the allocation-free sweep: a 64-job set
+// (about 2,000 windows) allocates no more than an 8-job set, because only
+// the final witness allocates.
+func TestFeasibleAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not stable under the race detector")
+	}
+	allocs := func(k int) float64 {
+		jobs := staggeredJobs(k)
+		if !FeasibleSet(jobs) {
+			t.Fatalf("k=%d: staggered set should be feasible", k)
+		}
+		return testing.AllocsPerRun(50, func() { _, _, _ = Feasible(jobs) })
+	}
+	small, large := allocs(8), allocs(64)
+	if large > small {
+		t.Errorf("Feasible allocates %v times for 64 jobs, %v for 8: the sweep allocates per window", large, small)
+	}
+}
+
+// BenchmarkFeasible measures one oracle call on feasible staggered sets,
+// the case that sweeps every window.
+func BenchmarkFeasible(b *testing.B) {
+	for _, k := range []int{8, 32, 64} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			jobs := staggeredJobs(k)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if ok, _, _ := Feasible(jobs); !ok {
+					b.Fatal("staggered set reported infeasible")
+				}
+			}
+		})
 	}
 }
