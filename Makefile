@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: check fmt vet build test race bench bench-json fuzz-smoke ledger-diff stream-check fabric-check scenario-check perfbench-check cover vuln loc
+.PHONY: check fmt vet build test race bench bench-json fuzz-smoke ledger-diff stream-check fabric-check scenario-check perfbench-check cover vuln loc flake-hunt
 
 check: fmt vet build test race bench fuzz-smoke ledger-diff stream-check fabric-check scenario-check perfbench-check cover vuln
 
@@ -113,6 +113,19 @@ ledger-diff:
 	$(GO) run ./cmd/paperrepro -only table1 -ledger $$tmp/b.jsonl >/dev/null 2>&1 && \
 	$(GO) run ./cmd/ledgerdiff $$tmp/a.jsonl $$tmp/b.jsonl; \
 	status=$$?; rm -rf $$tmp; exit $$status
+
+# flake-hunt repeats the fabric tests that assert how many workers joined
+# (Stats.WorkersSeen) 50 times each and prints the pass count. Those
+# assertions once raced a fast first worker against the later handshakes;
+# Config.MinWorkers now holds leases until every worker is in. Advisory
+# and slow, so not part of check; record its pass rate when the fabric
+# admission or lease code changes.
+FLAKE_TESTS = ^(TestFabricMatchesLocal|TestFabricQuorumHoldsLeases|TestFabricOverTCP|TestFabricFlaglessWorkersSelfConfigure|TestFabricAuth|TestFabricOverTLS|TestFabricServeSearchMatchesLocal)$$
+flake-hunt:
+	@out="$$($(GO) test -count=50 -v -run '$(FLAKE_TESTS)' ./internal/fabric 2>&1)"; status=$$?; \
+	echo "$$out" | grep -B3 -- '^--- FAIL' || true; \
+	echo "flake-hunt: $$(echo "$$out" | grep -c -- '^--- PASS') passed, $$(echo "$$out" | grep -c -- '^--- FAIL') failed"; \
+	exit $$status
 
 # loc prints the non-test Go line count outside perfbench/, the code-size
 # figure each change reports. Informational; not part of check.

@@ -431,6 +431,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			var escape float64
 			for i := 0; i < b.N; i++ {
 				fi, err := faultsim.Run(faultsim.Campaign{

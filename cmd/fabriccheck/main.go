@@ -157,7 +157,7 @@ func cleanTopologies(c faultsim.Campaign, want faultsim.Result) {
 	for _, n := range []int{1, 4} {
 		pl := fabric.NewPipeListener()
 		got, stats, err := runFabric(context.Background(),
-			fabric.Config{Campaign: c, Listener: pl}, n,
+			fabric.Config{Campaign: c, Listener: pl, MinWorkers: n}, n,
 			func(i int) fabric.WorkerConfig {
 				return workerDefaults(c, pl.Dial(), fmt.Sprintf("w%d", i), uint64(i))
 			}, nil)
@@ -517,7 +517,7 @@ func selfConfiguringTLS(c faultsim.Campaign, want faultsim.Result) {
 		return
 	}
 	got, stats, err := runFabric(context.Background(),
-		fabric.Config{Campaign: c, Listener: ln, AuthToken: "sesame", SpotCheck: 0.1, LeaseTTL: 2 * time.Second}, 2,
+		fabric.Config{Campaign: c, Listener: ln, AuthToken: "sesame", SpotCheck: 0.1, LeaseTTL: 2 * time.Second, MinWorkers: 2}, 2,
 		func(i int) fabric.WorkerConfig {
 			w := workerDefaults(faultsim.Campaign{}, dial, fmt.Sprintf("w%d", i), uint64(i))
 			w.AuthToken = "sesame"

@@ -29,6 +29,11 @@ type Config struct {
 	// LeasesPerWorker bounds a worker's outstanding chunks (default 2):
 	// one computing, one queued to hide the round trip.
 	LeasesPerWorker int
+	// MinWorkers is the admission quorum: until that many workers have
+	// completed their handshake, no lease is granted and no local fallback
+	// starts, so the first worker in cannot take the whole campaign
+	// before the others arrive. 0 grants from the first handshake on.
+	MinWorkers int
 	// AuthToken, when non-empty, requires every worker to pass an
 	// HMAC-SHA256 challenge-response proving it holds the same token
 	// before any campaign material (fingerprint, spec, leases) is sent.
@@ -652,9 +657,17 @@ func (co *Coordinator) welcome(w *workerConn, name string) {
 	}
 	co.send(w, &Frame{Type: TypeWelcome, Trials: co.trials, Worker: w.name})
 	co.publishWorker(w, "join")
-	if co.merger != nil {
-		co.sendCampaign(w)
+	if co.merger == nil {
+		return
+	}
+	co.sendCampaign(w)
+	if co.stats.WorkersSeen != co.cfg.MinWorkers {
 		co.grant(w)
+		return
+	}
+	// This handshake completed the quorum: everyone waiting gets work.
+	for x := range co.workers {
+		co.grant(x)
 	}
 }
 
@@ -698,10 +711,13 @@ func (co *Coordinator) renew(w *workerConn, ids []uint64) {
 	}
 }
 
+// quorate reports whether Config.MinWorkers workers have been welcomed.
+func (co *Coordinator) quorate() bool { return co.stats.WorkersSeen >= co.cfg.MinWorkers }
+
 // grant hands w chunks until it holds LeasesPerWorker, preferring
-// reassigned chunks over fresh ones.
+// reassigned chunks over fresh ones. Nothing is granted before quorum.
 func (co *Coordinator) grant(w *workerConn) {
-	for !co.stopped && w.helloed && !w.closed && len(w.leases) < co.perWork {
+	for co.quorate() && !co.stopped && w.helloed && !w.closed && len(w.leases) < co.perWork {
 		seq, ok := co.nextChunk()
 		if !ok {
 			return
@@ -757,7 +773,7 @@ func (co *Coordinator) maybeLocal() {
 	if co.localBusy || co.stopped || co.merger == nil {
 		return
 	}
-	if co.stats.WorkersSeen == 0 || co.liveWorkers() > 0 {
+	if co.stats.WorkersSeen == 0 || !co.quorate() || co.liveWorkers() > 0 {
 		return
 	}
 	seq, ok := co.nextChunk()

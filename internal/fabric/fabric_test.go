@@ -91,6 +91,11 @@ func (h *fabricHarness) run(t *testing.T, c faultsim.Campaign) (faultsim.Result,
 	if cfg.LeaseTTL == 0 {
 		cfg.LeaseTTL = 2 * time.Second
 	}
+	if cfg.MinWorkers == 0 {
+		// Hold every lease until all workers are in, so a fast first
+		// worker cannot finish the campaign before the others arrive.
+		cfg.MinWorkers = h.workers
+	}
 
 	type serveOut struct {
 		res   faultsim.Result
@@ -162,6 +167,47 @@ func TestFabricMatchesLocal(t *testing.T) {
 		if stats.Duplicates != 0 || stats.LeasesExpired != 0 {
 			t.Errorf("%d workers: unexpected churn on a clean transport: %+v", n, stats)
 		}
+	}
+}
+
+// TestFabricQuorumHoldsLeases: with MinWorkers set, the coordinator
+// grants its first lease only after the last required handshake, and
+// every worker then gets work.
+func TestFabricQuorumHoldsLeases(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	c := testCampaign(t, 1600)
+	want := localReference(t, c)
+
+	bus := obs.NewBus(256)
+	defer bus.Close()
+	var mu sync.Mutex
+	joins, grantsBeforeQuorum := 0, 0
+	granted := map[any]bool{}
+	bus.Attach(func(ev obs.BusEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case ev.Kind == "fabric_worker" && ev.Attrs["state"] == "join":
+			joins++
+		case ev.Kind == "fabric_lease" && ev.Attrs["state"] == "grant":
+			if joins < 3 {
+				grantsBeforeQuorum++
+			}
+			granted[ev.Attrs["worker"]] = true
+		}
+	})
+	h := &fabricHarness{workers: 3, cfg: Config{Bus: bus, MinWorkers: 3}}
+	got, stats := h.run(t, c)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("quorum-gated result differs from Workers=1")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if grantsBeforeQuorum != 0 {
+		t.Errorf("%d leases granted before the third handshake", grantsBeforeQuorum)
+	}
+	if len(granted) != 3 || stats.WorkersSeen != 3 {
+		t.Errorf("leases went to %d workers (WorkersSeen %d), want all 3", len(granted), stats.WorkersSeen)
 	}
 }
 

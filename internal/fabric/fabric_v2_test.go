@@ -413,7 +413,7 @@ func TestFabricServeSearchMatchesLocal(t *testing.T) {
 		ch := make(chan searchOut, 1)
 		go func() {
 			res, stats, err := ServeSearch(context.Background(), Config{
-				Listener: pl, LeaseTTL: 2 * time.Second, SpotCheck: 0.2, Label: "search",
+				Listener: pl, LeaseTTL: 2 * time.Second, SpotCheck: 0.2, Label: "search", MinWorkers: n,
 			}, scfg)
 			ch <- searchOut{res, stats, err}
 		}()

@@ -3,7 +3,6 @@ package faultsim
 import (
 	"context"
 	"fmt"
-	"math/rand/v2"
 
 	"repro/internal/stage"
 )
@@ -49,11 +48,11 @@ func ChunkIndex(begin int) int { return begin / ChunkSize }
 // these before any trials move, mirroring the checkpoint fingerprints.
 func (c Campaign) Fingerprint() string { return c.fingerprint() }
 
-// ChunkOutput is the serialisable outcome of one grid chunk — an exported
-// chunkResult plus its bounds, suitable for a JSON wire. The per-trial
-// float slices preserve addition order across the wire: encoding/json
-// round-trips float64 exactly (shortest-form rendering), so a merged
-// Result built from remote chunks is bit-identical to a local run.
+// ChunkOutput is the serialisable outcome of one grid chunk, suitable for
+// a JSON wire. The per-trial float slices preserve addition order across
+// the wire: encoding/json round-trips float64 exactly (shortest-form
+// rendering), so a merged Result built from remote chunks is bit-identical
+// to a local run.
 type ChunkOutput struct {
 	Begin              int            `json:"begin"`
 	End                int            `json:"end"`
@@ -69,55 +68,6 @@ type ChunkOutput struct {
 	AffectedCount      map[string]int `json:"affected_count,omitempty"`
 	TransmissionCount  map[string]int `json:"transmission_count,omitempty"`
 	EdgeTrials         map[string]int `json:"edge_trials,omitempty"`
-}
-
-// output exports a chunkResult.
-func (ch *chunkResult) output(begin, end int) *ChunkOutput {
-	return &ChunkOutput{
-		Begin:              begin,
-		End:                end,
-		TotalAffected:      ch.totalAffected,
-		CrossTransmissions: ch.crossTransmissions,
-		TrialsWithEscape:   ch.trialsWithEscape,
-		CommFaultTrials:    ch.commFaultTrials,
-		CriticalAffected:   ch.criticalAffected,
-		InitialFaults:      ch.initialFaults,
-		TransientFaults:    ch.transientFaults,
-		CritPerTrial:       ch.critPerTrial,
-		EscPerTrial:        ch.escPerTrial,
-		AffectedCount:      ch.affectedCount,
-		TransmissionCount:  ch.transmissionCount,
-		EdgeTrials:         ch.edgeTrials,
-	}
-}
-
-// chunk re-imports a ChunkOutput for merging. Nil maps (elided by
-// omitempty on the wire) come back as empty maps.
-func (co *ChunkOutput) chunk() *chunkResult {
-	ch := &chunkResult{
-		totalAffected:      co.TotalAffected,
-		crossTransmissions: co.CrossTransmissions,
-		trialsWithEscape:   co.TrialsWithEscape,
-		commFaultTrials:    co.CommFaultTrials,
-		criticalAffected:   co.CriticalAffected,
-		initialFaults:      co.InitialFaults,
-		transientFaults:    co.TransientFaults,
-		critPerTrial:       co.CritPerTrial,
-		escPerTrial:        co.EscPerTrial,
-		affectedCount:      co.AffectedCount,
-		transmissionCount:  co.TransmissionCount,
-		edgeTrials:         co.EdgeTrials,
-	}
-	if ch.affectedCount == nil {
-		ch.affectedCount = map[string]int{}
-	}
-	if ch.transmissionCount == nil {
-		ch.transmissionCount = map[string]int{}
-	}
-	if ch.edgeTrials == nil {
-		ch.edgeTrials = map[string]int{}
-	}
-	return ch
 }
 
 // ChunkRunner computes grid chunks of one campaign — the worker side of a
@@ -151,13 +101,16 @@ func (r *ChunkRunner) Run(ctx context.Context, begin, end int) (*ChunkOutput, er
 			"faultsim: chunk [%d,%d) is not on the %d-trial grid of %d trials",
 			begin, end, ChunkSize, r.trials))
 	}
-	pcg := rand.NewPCG(0, 0)
-	rng := rand.New(pcg)
-	ch := newChunkResult()
-	if err := r.env.runChunk(ctx, pcg, rng, begin, end, ch); err != nil {
+	env := r.env
+	ch := env.newChunk()
+	if err := env.runChunk(ctx, env.newScratch(), begin, end, ch); err != nil {
 		return nil, err
 	}
-	return ch.output(begin, end), nil
+	out := ch.ChunkOutput
+	out.AffectedCount = namedCounts(ch.affected, env.nodes)
+	out.TransmissionCount = namedCounts(ch.transmissions, env.edgeKey)
+	out.EdgeTrials = namedCounts(ch.edgeTrials, env.edgeKey)
+	return &out, nil
 }
 
 // Merger folds chunk outputs into a campaign Result, strictly in grid
@@ -208,7 +161,7 @@ func (m *Merger) Absorb(co *ChunkOutput) (stop bool, err error) {
 			"faultsim: chunk [%d,%d) absorbed out of order, frontier %d",
 			co.Begin, co.End, m.run.done))
 	}
-	return m.run.merge(co.Begin, co.End, co.chunk())
+	return m.run.merge(&chunkResult{ChunkOutput: *co})
 }
 
 // Abort persists the frontier checkpoint (when configured) and returns

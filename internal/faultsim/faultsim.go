@@ -267,82 +267,118 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// chunkResult accumulates the trials of one chunk. All integer counters
-// merge exactly regardless of order; the single order-sensitive value —
-// the float64 criticality loss — is kept per trial so the merged sum's
-// addition order is always the trial order, independent of chunk
-// boundaries and worker count.
+// chunkResult accumulates the trials of one chunk. The embedded
+// ChunkOutput holds the scalar counters and the per-trial float slices:
+// all integer counters merge exactly regardless of order, and the single
+// order-sensitive value — the float64 criticality loss — is kept per trial
+// so the merged sum's addition order is always the trial order,
+// independent of chunk boundaries and worker count. The per-node and
+// per-edge counters are dense, indexed by campaignEnv ids; they become
+// named map entries only at the Result and wire boundaries, so the
+// embedded maps stay nil on a locally computed chunk.
 type chunkResult struct {
-	totalAffected      int
-	crossTransmissions int
-	trialsWithEscape   int
-	commFaultTrials    int
-	criticalAffected   int
-	initialFaults      int
-	transientFaults    int
-	critPerTrial       []float64
-	escPerTrial        []float64
-	affectedCount      map[string]int
-	transmissionCount  map[string]int
-	edgeTrials         map[string]int
+	ChunkOutput
+	affected      []int // per node id
+	transmissions []int // per edge id
+	edgeTrials    []int // per edge id
 }
 
-func newChunkResult() *chunkResult {
+// newChunk returns an empty chunk accumulator sized to the campaign.
+func (env *campaignEnv) newChunk() *chunkResult {
 	return &chunkResult{
-		affectedCount:     map[string]int{},
-		transmissionCount: map[string]int{},
-		edgeTrials:        map[string]int{},
+		ChunkOutput: ChunkOutput{
+			CritPerTrial: make([]float64, 0, trialChunkSize),
+			EscPerTrial:  make([]float64, 0, trialChunkSize),
+		},
+		affected:      make([]int, len(env.nodes)),
+		transmissions: make([]int, len(env.eTo)),
+		edgeTrials:    make([]int, len(env.eTo)),
 	}
 }
 
 func (ch *chunkResult) reset() {
-	*ch = chunkResult{
-		critPerTrial:      ch.critPerTrial[:0],
-		escPerTrial:       ch.escPerTrial[:0],
-		affectedCount:     map[string]int{},
-		transmissionCount: map[string]int{},
-		edgeTrials:        map[string]int{},
+	ch.ChunkOutput = ChunkOutput{
+		CritPerTrial: ch.CritPerTrial[:0],
+		EscPerTrial:  ch.EscPerTrial[:0],
 	}
+	clear(ch.affected)
+	clear(ch.transmissions)
+	clear(ch.edgeTrials)
 }
 
-// absorb folds a chunk into the running Result, trial floats in order.
-func (r *Result) absorb(ch *chunkResult) {
-	r.TotalAffected += ch.totalAffected
-	r.CrossNodeTransmissions += ch.crossTransmissions
-	r.TrialsWithEscape += ch.trialsWithEscape
-	r.CommFaultTrials += ch.commFaultTrials
-	r.CriticalAffected += ch.criticalAffected
-	r.InitialFaults += ch.initialFaults
-	r.TransientFaults += ch.transientFaults
-	for _, loss := range ch.critPerTrial {
+// absorb folds a chunk into the running Result, trial floats in order. A
+// chunk from the wire carries named maps; a local one carries dense
+// counters, which env names here. Zero counters are skipped, so the maps
+// hold exactly the keys some trial incremented, as on the wire path.
+func (r *Result) absorb(ch *chunkResult, env *campaignEnv) {
+	r.TotalAffected += ch.TotalAffected
+	r.CrossNodeTransmissions += ch.CrossTransmissions
+	r.TrialsWithEscape += ch.TrialsWithEscape
+	r.CommFaultTrials += ch.CommFaultTrials
+	r.CriticalAffected += ch.CriticalAffected
+	r.InitialFaults += ch.InitialFaults
+	r.TransientFaults += ch.TransientFaults
+	for _, loss := range ch.CritPerTrial {
 		r.CriticalityLoss += loss
 	}
-	for _, loss := range ch.escPerTrial {
+	for _, loss := range ch.EscPerTrial {
 		r.EscapedCriticalityLoss += loss
 	}
-	for k, v := range ch.affectedCount {
+	for k, v := range ch.AffectedCount {
 		r.AffectedCount[k] += v
 	}
-	for k, v := range ch.transmissionCount {
+	for k, v := range ch.TransmissionCount {
 		r.TransmissionCount[k] += v
 	}
-	for k, v := range ch.edgeTrials {
+	for k, v := range ch.EdgeTrials {
 		r.EdgeTrials[k] += v
+	}
+	addCounts(r.AffectedCount, ch.affected, env.nodes)
+	addCounts(r.TransmissionCount, ch.transmissions, env.edgeKey)
+	addCounts(r.EdgeTrials, ch.edgeTrials, env.edgeKey)
+}
+
+// addCounts adds every nonzero dense counter to m under its name.
+func addCounts(m map[string]int, counts []int, names []string) {
+	for i, v := range counts {
+		if v != 0 {
+			m[names[i]] += v
+		}
 	}
 }
 
-// campaignEnv is the immutable, precomputed view of a campaign shared by
-// all workers: adjacency, criticality, and the injection-site sampler. It
-// is built once so concurrent trials never touch the graph's mutable
-// accessors.
+// namedCounts returns the nonzero dense counters as a map keyed by name.
+func namedCounts(counts []int, names []string) map[string]int {
+	n := 0
+	for _, v := range counts {
+		if v != 0 {
+			n++
+		}
+	}
+	m := make(map[string]int, n)
+	addCounts(m, counts, names)
+	return m
+}
+
+// campaignEnv is the immutable, index-addressed view of a campaign shared
+// by all workers, built once so concurrent trials never touch the graph's
+// mutable accessors or hash a string. Node ids index the sorted node list.
+// Edge ids index the live edges (non-replica, weight > 0) in
+// Nodes()×OutEdges() order — also Graph.Edges() order — as a CSR
+// adjacency: node u's out-edges are ids outStart[u] to outStart[u+1]-1.
+// Every live edge is a communication-fault site, so the comm-fault draw
+// picks an edge id directly.
 type campaignEnv struct {
-	nodes         []string
-	out           map[string][]graph.Edge // non-replica, weight>0, sorted
-	commEdges     []graph.Edge
+	nodes         []string // node id → name
+	outStart      []int32  // len(nodes)+1 CSR offsets
+	eFrom, eTo    []int32  // edge id → endpoint node ids
+	eW            []float64
+	edgeKey       []string // edge id → "from>to", the Result and wire key
+	crit          []float64
+	hw            []int32 // node id → interned HW name; "" (unmapped) is interned too
+	hasHW         bool    // Campaign.HWOf was set: HW boundary accounting on
 	weights       []float64
 	weightTotal   float64
-	crit          map[string]float64
-	hwOf          map[string]string
 	seedBase      uint64
 	maxHops       int
 	commFrac      float64
@@ -352,11 +388,10 @@ type campaignEnv struct {
 }
 
 func newCampaignEnv(c *Campaign) *campaignEnv {
+	g := c.Graph
 	env := &campaignEnv{
-		nodes:         c.Graph.Nodes(),
-		out:           map[string][]graph.Edge{},
-		crit:          map[string]float64{},
-		hwOf:          c.HWOf,
+		nodes:         g.Nodes(),
+		hasHW:         c.HWOf != nil,
 		seedBase:      splitmix64(c.Seed),
 		maxHops:       c.MaxHops,
 		commFrac:      c.CommFaultFraction,
@@ -364,30 +399,42 @@ func newCampaignEnv(c *Campaign) *campaignEnv {
 		model:         c.model(),
 	}
 	env.persist = env.model.persist()
-	for _, n := range env.nodes {
-		env.crit[n] = c.Graph.Attrs(n).Value(attrs.Criticality)
-		var live []graph.Edge
-		for _, e := range c.Graph.OutEdges(n) {
+	n := len(env.nodes)
+	id := make(map[string]int32, n)
+	for i, name := range env.nodes {
+		id[name] = int32(i)
+	}
+	env.outStart = make([]int32, n+1)
+	env.crit = make([]float64, n)
+	env.hw = make([]int32, n)
+	hwID := map[string]int32{}
+	for i, name := range env.nodes {
+		env.crit[i] = g.Attrs(name).Value(attrs.Criticality)
+		host := c.HWOf[name]
+		h, ok := hwID[host]
+		if !ok {
+			h = int32(len(hwID))
+			hwID[host] = h
+		}
+		env.hw[i] = h
+		env.outStart[i] = int32(len(env.eTo))
+		for _, e := range g.OutEdges(name) {
 			if e.Replica || e.Weight <= 0 {
 				continue
 			}
-			live = append(live, e)
-		}
-		env.out[n] = live
-	}
-	if c.CommFaultFraction > 0 {
-		for _, e := range c.Graph.Edges() {
-			if !e.Replica && e.Weight > 0 {
-				env.commEdges = append(env.commEdges, e)
-			}
+			env.eFrom = append(env.eFrom, int32(i))
+			env.eTo = append(env.eTo, id[e.To])
+			env.eW = append(env.eW, e.Weight)
+			env.edgeKey = append(env.edgeKey, name+">"+e.To)
 		}
 	}
+	env.outStart[n] = int32(len(env.eTo))
 	// Injection-site sampler weights.
-	env.weights = make([]float64, len(env.nodes))
-	for i, n := range env.nodes {
+	env.weights = make([]float64, n)
+	for i, name := range env.nodes {
 		w := 1.0
 		if c.OccurrenceWeights != nil {
-			w = c.OccurrenceWeights[n]
+			w = c.OccurrenceWeights[name]
 		}
 		if w < 0 {
 			w = 0
@@ -404,6 +451,64 @@ func newCampaignEnv(c *Campaign) *campaignEnv {
 	return env
 }
 
+// trialScratch is one worker's reusable trial state: the RNG it positions
+// on each trial's substream and every buffer a trial needs, sized to the
+// graph once so a warm chunk allocates nothing. A node is faulty in the
+// current trial when its mark equals gen, so starting a trial clears no
+// per-node state.
+type trialScratch struct {
+	pcg *rand.PCG
+	rng *rand.Rand
+
+	gen      uint32
+	mark     []uint32
+	via      []bool  // fault reached the node over a HW boundary (valid while marked)
+	order    []int32 // affected nodes in discovery order
+	frontier []int32
+
+	// Injection outcome, written by the fault model.
+	origins []trialOrigin
+	// commFault marks a trial whose initial fault was a corrupted
+	// communication rather than an FCM fault; commCrossed marks one whose
+	// corrupted message itself crossed a HW boundary.
+	commFault, commCrossed bool
+
+	// Burst's sampling-without-replacement state.
+	weights []float64
+	taken   []bool
+}
+
+func (env *campaignEnv) newScratch() *trialScratch {
+	n := len(env.nodes)
+	pcg := rand.NewPCG(0, 0)
+	// Each node is admitted at most once per trial and every model injects
+	// at most n origins, so no buffer below ever grows.
+	return &trialScratch{
+		pcg:      pcg,
+		rng:      rand.New(pcg),
+		mark:     make([]uint32, n),
+		via:      make([]bool, n),
+		order:    make([]int32, 0, n),
+		frontier: make([]int32, 0, n),
+		origins:  make([]trialOrigin, 0, n),
+		weights:  make([]float64, n),
+		taken:    make([]bool, n),
+	}
+}
+
+// begin clears the per-trial state for the next trial.
+func (s *trialScratch) begin() {
+	s.gen++
+	if s.gen == 0 {
+		clear(s.mark)
+		s.gen = 1
+	}
+	s.order = s.order[:0]
+	s.frontier = s.frontier[:0]
+	s.origins = s.origins[:0]
+	s.commFault, s.commCrossed = false, false
+}
+
 // reseed positions the PCG on the substream of one trial. The substream
 // depends only on (Seed, trial), never on execution history, which is what
 // makes sharding and resume bit-exact.
@@ -412,129 +517,123 @@ func (env *campaignEnv) reseed(pcg *rand.PCG, trial int) {
 	pcg.Seed(splitmix64(base), splitmix64(base^substreamSalt))
 }
 
-func (env *campaignEnv) pick(rng *rand.Rand) string {
+func (env *campaignEnv) pick(rng *rand.Rand) int32 {
 	x := rng.Float64() * env.weightTotal
 	for i, w := range env.weights {
 		x -= w
 		if x < 0 {
-			return env.nodes[i]
+			return int32(i)
 		}
 	}
-	return env.nodes[len(env.nodes)-1]
+	return int32(len(env.nodes) - 1)
 }
 
 // runChunk executes trials [begin, end) on their own substreams,
 // accumulating into ch. The context is polled at every trial boundary; a
 // cancelled chunk is all-or-nothing and contributes no trials.
-func (env *campaignEnv) runChunk(ctx context.Context, pcg *rand.PCG, rng *rand.Rand, begin, end int, ch *chunkResult) error {
+func (env *campaignEnv) runChunk(ctx context.Context, s *trialScratch, begin, end int, ch *chunkResult) error {
+	ch.Begin, ch.End = begin, end
 	for trial := begin; trial < end; trial++ {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		env.reseed(pcg, trial)
-		env.runTrial(rng, ch)
+		env.reseed(s.pcg, trial)
+		env.runTrial(s, ch)
 	}
 	return nil
 }
 
-func (env *campaignEnv) runTrial(rng *rand.Rand, ch *chunkResult) {
+func (env *campaignEnv) runTrial(s *trialScratch, ch *chunkResult) {
 	// The fault model draws the initial fault set; propagation below is
 	// shared by every model. All draws come from the trial's private
 	// substream in a fixed order, so the trial is a pure function of
 	// (Seed, trial index) under every model.
-	var t trialState
-	env.model.inject(env, rng, &t)
-	if t.commFault {
-		ch.commFaultTrials++
+	s.begin()
+	env.model.inject(env, s)
+	if s.commFault {
+		ch.CommFaultTrials++
 	}
 	escaped := false
-	if t.commCrossed {
+	if s.commCrossed {
 		// The corrupted message itself crossed a HW boundary.
-		ch.crossTransmissions++
+		ch.CrossTransmissions++
 		escaped = true
 	}
-	ch.initialFaults += len(t.origins)
+	ch.InitialFaults += len(s.origins)
 
-	faulty := make(map[string]bool, len(t.origins))
-	// order records affected nodes in discovery order so the criticality
-	// sums below never depend on map iteration; viaCross marks nodes
-	// whose fault arrived over a HW boundary for escaped-loss accounting.
-	var order []string
-	var frontier []string
-	viaCross := map[string]bool{}
-	// admit marks one newly faulty FCM. Under a transient model the
-	// permanence draw happens at discovery, in frontier order; a
-	// transient fault affects its FCM but never joins the frontier.
-	admit := func(n string, crossed bool) {
-		faulty[n] = true
-		order = append(order, n)
-		if crossed {
-			viaCross[n] = true
-		}
-		if env.persist < 1 && rng.Float64() >= env.persist {
-			ch.transientFaults++
-			return
-		}
-		frontier = append(frontier, n)
-	}
-	for _, o := range t.origins {
-		if faulty[o.node] {
+	for _, o := range s.origins {
+		if s.mark[o.node] == s.gen {
 			continue
 		}
-		admit(o.node, o.viaCross)
+		env.admit(s, ch, o.node, o.viaCross)
 	}
-	hops := 0
-	for len(frontier) > 0 && (env.maxHops == 0 || hops < env.maxHops) {
-		hops++
-		boundary := len(frontier)
-		for _, u := range frontier[:boundary] {
-			for _, e := range env.out[u] {
-				key := u + ">" + e.To
-				// The transmission draw happens whether or not the
-				// target is already faulty — conditioning the draw on
-				// target health would bias the per-edge estimate
-				// downward on convergent paths.
-				ch.edgeTrials[key]++
-				if rng.Float64() >= e.Weight {
+	// The frontier is consumed level by level from head; admit appends the
+	// next level behind it.
+	head := 0
+	for hops := 0; head < len(s.frontier) && (env.maxHops == 0 || hops < env.maxHops); hops++ {
+		for level := len(s.frontier); head < level; head++ {
+			u := s.frontier[head]
+			for e := env.outStart[u]; e < env.outStart[u+1]; e++ {
+				// The transmission draw happens whether or not the target
+				// is already faulty — conditioning the draw on target
+				// health would bias the per-edge estimate downward on
+				// convergent paths.
+				ch.edgeTrials[e]++
+				if s.rng.Float64() >= env.eW[e] {
 					continue
 				}
-				ch.transmissionCount[key]++
-				if faulty[e.To] {
+				ch.transmissions[e]++
+				v := env.eTo[e]
+				if s.mark[v] == s.gen {
 					continue
 				}
-				crossed := env.hwOf != nil && env.hwOf[u] != env.hwOf[e.To]
+				crossed := env.hasHW && env.hw[u] != env.hw[v]
 				if crossed {
-					ch.crossTransmissions++
+					ch.CrossTransmissions++
 					escaped = true
 				}
 				// The escape taint is sticky: once an infection chain has
 				// crossed a HW boundary, everything it infects downstream
 				// is containment-failure damage too.
-				admit(e.To, crossed || viaCross[u])
+				env.admit(s, ch, v, crossed || s.via[u])
 			}
 		}
-		frontier = frontier[boundary:]
 	}
-	ch.totalAffected += len(order)
+	ch.TotalAffected += len(s.order)
 	if escaped {
-		ch.trialsWithEscape++
+		ch.TrialsWithEscape++
 	}
 	loss, escLoss := 0.0, 0.0
-	for _, n := range order {
-		ch.affectedCount[n]++
+	for _, n := range s.order {
+		ch.affected[n]++
 		cv := env.crit[n]
 		loss += cv
-		if viaCross[n] {
+		if s.via[n] {
 			escLoss += cv
 		}
 		if env.critThreshold > 0 && cv >= env.critThreshold {
-			ch.criticalAffected++
+			ch.CriticalAffected++
 		}
 	}
-	ch.critPerTrial = append(ch.critPerTrial, loss)
-	ch.escPerTrial = append(ch.escPerTrial, escLoss)
+	ch.CritPerTrial = append(ch.CritPerTrial, loss)
+	ch.EscPerTrial = append(ch.EscPerTrial, escLoss)
+}
+
+// admit marks one newly faulty FCM; crossed marks a fault that arrived
+// over a HW boundary, for escaped-loss accounting. Under a transient
+// model the permanence draw happens at discovery, in frontier order; a
+// transient fault affects its FCM but never joins the frontier.
+func (env *campaignEnv) admit(s *trialScratch, ch *chunkResult, n int32, crossed bool) {
+	s.mark[n] = s.gen
+	s.via[n] = crossed
+	s.order = append(s.order, n)
+	if env.persist < 1 && s.rng.Float64() >= env.persist {
+		ch.TransientFaults++
+		return
+	}
+	s.frontier = append(s.frontier, n)
 }
 
 // chunkEnd returns the end of the chunk beginning at b: the next absolute
@@ -594,12 +693,13 @@ func (r *campaignRun) checkpointEvent(done int) {
 // early-stopping test. It reports stop=true when the campaign should end
 // at frontier e. Because the chunk sequence is worker-count-independent,
 // so is every decision made here.
-func (r *campaignRun) merge(b, e int, ch *chunkResult) (stop bool, err error) {
-	r.res.absorb(ch)
+func (r *campaignRun) merge(ch *chunkResult) (stop bool, err error) {
+	b, e := ch.Begin, ch.End
+	r.res.absorb(ch, r.env)
 	r.done = e
 	r.trialsCtr.Add(int64(e - b))
-	r.escapesCtr.Add(int64(ch.trialsWithEscape))
-	r.crossCtr.Add(int64(ch.crossTransmissions))
+	r.escapesCtr.Add(int64(ch.TrialsWithEscape))
+	r.crossCtr.Add(int64(ch.CrossTransmissions))
 	if r.c.Span != nil && (b/r.eventEvery != e/r.eventEvery || e == r.c.Trials) {
 		r.checkpointEvent(e)
 	}
@@ -648,16 +748,15 @@ func (r *campaignRun) cancelled(cause error) error {
 // goroutines but uses the exact same chunk grid and merge arithmetic as
 // the pool, which is what makes the two bit-identical.
 func (r *campaignRun) serial(start int) error {
-	pcg := rand.NewPCG(0, 0)
-	rng := rand.New(pcg)
-	ch := newChunkResult()
+	s := r.env.newScratch()
+	ch := r.env.newChunk()
 	for b := start; b < r.c.Trials; {
 		e := chunkEnd(b, r.c.Trials)
 		ch.reset()
-		if err := r.env.runChunk(r.c.Ctx, pcg, rng, b, e, ch); err != nil {
+		if err := r.env.runChunk(r.c.Ctx, s, b, e, ch); err != nil {
 			return r.cancelled(err)
 		}
-		stop, err := r.merge(b, e, ch)
+		stop, err := r.merge(ch)
 		if err != nil || stop {
 			return err
 		}
@@ -697,12 +796,11 @@ func (r *campaignRun) parallel(start, workers int) error {
 			}
 			r.workersGauge.Add(1)
 			defer r.workersGauge.Add(-1)
-			pcg := rand.NewPCG(0, 0)
-			rng := rand.New(pcg)
+			s := r.env.newScratch()
 			chunks, trials := 0, 0
 			for j := range jobs {
-				ch := newChunkResult()
-				err := r.env.runChunk(r.c.Ctx, pcg, rng, j.b, j.e, ch)
+				ch := r.env.newChunk()
+				err := r.env.runChunk(r.c.Ctx, s, j.b, j.e, ch)
 				if err == nil {
 					chunks++
 					trials += j.e - j.b
@@ -754,7 +852,7 @@ func (r *campaignRun) parallel(start, workers int) error {
 				}
 				delete(pending, mergeSeq)
 				mergeSeq++
-				stop, err := r.merge(p.b, p.e, p.ch)
+				stop, err := r.merge(p.ch)
 				if err != nil {
 					fatal = err
 					dispatchDone = true

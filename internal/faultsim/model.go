@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand/v2"
 	"strconv"
 )
 
@@ -48,48 +47,34 @@ type FaultModel interface {
 	// transient (1 = every fault permanent; only Transient lowers it).
 	persist() float64
 
-	// inject draws the initial fault set for one trial into t, using only
-	// rng and the immutable env.
-	inject(env *campaignEnv, rng *rand.Rand, t *trialState)
+	// inject draws the initial fault set for one trial into s, using only
+	// s.rng and the immutable env.
+	inject(env *campaignEnv, s *trialScratch)
 }
 
 // trialOrigin is one initially faulty FCM of a trial.
 type trialOrigin struct {
-	node string
+	node int32
 	// viaCross marks an origin that became faulty through a corrupted
 	// cross-HW communication, so its criticality counts as escaped loss.
 	viaCross bool
 }
-
-// trialState carries the injection outcome of one trial from the model
-// into the shared propagation loop.
-type trialState struct {
-	origins []trialOrigin
-	// commFault marks a trial whose initial fault was a corrupted
-	// communication rather than an FCM fault.
-	commFault bool
-	// commCrossed marks a comm fault whose corrupted message itself
-	// crossed a HW boundary.
-	commCrossed bool
-}
-
-func (t *trialState) reset() { *t = trialState{origins: t.origins[:0]} }
 
 // injectSingle is the paper's original fault model: with probability
 // env.commFrac the trial corrupts a communication edge (the receiving FCM
 // becomes faulty); otherwise one FCM drawn from the occurrence-weight
 // sampler faults. Shared by SingleFault and Transient so both make the
 // exact same rng draws as the pre-interface injector.
-func injectSingle(env *campaignEnv, rng *rand.Rand, t *trialState) {
-	if len(env.commEdges) > 0 && rng.Float64() < env.commFrac {
-		e := env.commEdges[rng.IntN(len(env.commEdges))]
-		t.commFault = true
-		crossed := env.hwOf != nil && env.hwOf[e.From] != env.hwOf[e.To]
-		t.commCrossed = crossed
-		t.origins = append(t.origins, trialOrigin{node: e.To, viaCross: crossed})
+func injectSingle(env *campaignEnv, s *trialScratch) {
+	if env.commFrac > 0 && len(env.eTo) > 0 && s.rng.Float64() < env.commFrac {
+		e := s.rng.IntN(len(env.eTo))
+		from, to := env.eFrom[e], env.eTo[e]
+		crossed := env.hasHW && env.hw[from] != env.hw[to]
+		s.commFault, s.commCrossed = true, crossed
+		s.origins = append(s.origins, trialOrigin{node: to, viaCross: crossed})
 		return
 	}
-	t.origins = append(t.origins, trialOrigin{node: env.pick(rng)})
+	s.origins = append(s.origins, trialOrigin{node: env.pick(s.rng)})
 }
 
 // singleModel is the default: one initial fault per trial.
@@ -104,9 +89,7 @@ func (singleModel) Name() string                                 { return "singl
 func (singleModel) validate() error                              { return nil }
 func (singleModel) fingerprint(ws func(string), _ func(float64)) { ws("single") }
 func (singleModel) persist() float64                             { return 1 }
-func (singleModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
-	injectSingle(env, rng, t)
-}
+func (singleModel) inject(env *campaignEnv, s *trialScratch)     { injectSingle(env, s) }
 
 // correlatedModel faults every FCM colocated with the drawn one.
 type correlatedModel struct{}
@@ -123,18 +106,19 @@ func (correlatedModel) Name() string                                 { return "c
 func (correlatedModel) validate() error                              { return nil }
 func (correlatedModel) fingerprint(ws func(string), _ func(float64)) { ws("correlated") }
 func (correlatedModel) persist() float64                             { return 1 }
-func (correlatedModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
-	seed := env.pick(rng)
-	if env.hwOf == nil {
-		t.origins = append(t.origins, trialOrigin{node: seed})
+func (correlatedModel) inject(env *campaignEnv, s *trialScratch) {
+	seed := env.pick(s.rng)
+	if !env.hasHW {
+		s.origins = append(s.origins, trialOrigin{node: seed})
 		return
 	}
-	host := env.hwOf[seed]
-	// env.nodes is sorted, so the colocated set enumerates in a fixed
-	// order — the same order at every worker count and resume point.
-	for _, n := range env.nodes {
-		if env.hwOf[n] == host {
-			t.origins = append(t.origins, trialOrigin{node: n})
+	host := env.hw[seed]
+	// Node ids follow the sorted node list, so the colocated set
+	// enumerates in a fixed order — the same order at every worker count
+	// and resume point.
+	for n, h := range env.hw {
+		if h == host {
+			s.origins = append(s.origins, trialOrigin{node: int32(n)})
 		}
 	}
 }
@@ -162,7 +146,7 @@ func (m burstModel) fingerprint(ws func(string), _ func(float64)) {
 	ws(strconv.Itoa(m.k))
 }
 func (m burstModel) persist() float64 { return 1 }
-func (m burstModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
+func (m burstModel) inject(env *campaignEnv, s *trialScratch) {
 	k := m.k
 	if k > len(env.nodes) {
 		k = len(env.nodes)
@@ -171,13 +155,15 @@ func (m burstModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
 	// zero each drawn node. When the remaining mass hits zero (forced
 	// seed nodes, zero-weight tails) the rest draws uniformly over the
 	// not-yet-faulty nodes, so a burst always reaches its size.
-	weights := append([]float64(nil), env.weights...)
+	weights := s.weights
+	copy(weights, env.weights)
 	total := env.weightTotal
-	taken := make(map[int]bool, k)
+	taken := s.taken
+	clear(taken)
 	for drawn := 0; drawn < k; drawn++ {
 		idx := -1
 		if total > 0 {
-			x := rng.Float64() * total
+			x := s.rng.Float64() * total
 			for i, w := range weights {
 				x -= w
 				if x < 0 {
@@ -196,7 +182,7 @@ func (m burstModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
 		}
 		if idx < 0 {
 			// Uniform over the remaining nodes, in sorted-node order.
-			nth := rng.IntN(len(env.nodes) - drawn)
+			nth := s.rng.IntN(len(env.nodes) - drawn)
 			for i := range env.nodes {
 				if taken[i] {
 					continue
@@ -214,7 +200,7 @@ func (m burstModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
 			total = 0
 		}
 		weights[idx] = 0
-		t.origins = append(t.origins, trialOrigin{node: env.nodes[idx]})
+		s.origins = append(s.origins, trialOrigin{node: int32(idx)})
 	}
 }
 
@@ -241,10 +227,8 @@ func (m transientModel) fingerprint(ws func(string), wf func(float64)) {
 	ws("transient")
 	wf(m.persistProb)
 }
-func (m transientModel) persist() float64 { return m.persistProb }
-func (m transientModel) inject(env *campaignEnv, rng *rand.Rand, t *trialState) {
-	injectSingle(env, rng, t)
-}
+func (m transientModel) persist() float64                         { return m.persistProb }
+func (m transientModel) inject(env *campaignEnv, s *trialScratch) { injectSingle(env, s) }
 
 // ModelByName returns the fault model a CLI selector names: "single",
 // "correlated", "burst" (size from burst, minimum 2 when unset) or
