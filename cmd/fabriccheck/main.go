@@ -284,9 +284,11 @@ func telemetryTrace(c faultsim.Campaign, want faultsim.Result) {
 		}
 	}()
 
+	// MinWorkers keeps the victim from dying as the only worker, which
+	// would make the coordinator compute chunks locally, relaying no spans.
 	pl := fabric.NewPipeListener()
 	got, stats, err := runFabric(context.Background(),
-		fabric.Config{Campaign: c, Listener: pl, Bus: bus, Observer: observer, LeaseTTL: 2 * time.Second}, 4,
+		fabric.Config{Campaign: c, Listener: pl, Bus: bus, Observer: observer, LeaseTTL: 2 * time.Second, MinWorkers: 4}, 4,
 		func(i int) fabric.WorkerConfig {
 			name := fmt.Sprintf("w%d", i)
 			if i == 0 {
@@ -605,21 +607,27 @@ func drainAndResume(c faultsim.Campaign, want faultsim.Result) {
 	c.Resume = true
 
 	// Phase 1: cancel the coordinator after a few merged chunks; the
-	// frontier checkpoint must survive the drain.
+	// frontier checkpoint must survive the drain. Chunks merge in grid
+	// order, so drain waits for chunk 0's result too: the coordinator
+	// merges it before it can see the cancellation.
 	bus := obs.NewBus(256)
 	serveCtx, drain := context.WithCancel(context.Background())
 	sub := bus.Subscribe(0, 256)
 	watcherDone := make(chan struct{})
 	go func() {
 		defer close(watcherDone)
-		results := 0
+		results, first := 0, false
 		for {
 			ev, ok := sub.Next(nil)
 			if !ok {
 				return
 			}
 			if ev.Kind == "fabric_lease" && ev.Attrs["state"] == "result" {
-				if results++; results == 5 {
+				results++
+				if begin, ok := attrInt(ev.Attrs["begin"]); ok && begin == 0 {
+					first = true
+				}
+				if first && results >= 5 {
 					drain()
 				}
 			}

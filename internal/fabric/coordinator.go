@@ -409,6 +409,7 @@ func (co *Coordinator) loop(ctx context.Context) (faultsim.Result, error) {
 			co.publishDone(res)
 			return res, nil
 		}
+		co.grantRequeued()
 		co.maybeLocal()
 		select {
 		case c := <-co.accepted:
@@ -753,6 +754,19 @@ func (co *Coordinator) nextChunk() (int, bool) {
 	return 0, false
 }
 
+// grantRequeued offers requeued chunks to every worker with room. Grants
+// otherwise follow a worker's own results, so a chunk requeued by another
+// worker's loss or quarantine would wait forever once every live worker
+// had gone idle.
+func (co *Coordinator) grantRequeued() {
+	for w := range co.workers {
+		if len(co.requeue) == 0 {
+			return
+		}
+		co.grant(w)
+	}
+}
+
 // liveWorkers counts welcomed, still-connected workers.
 func (co *Coordinator) liveWorkers() int {
 	n := 0
@@ -813,9 +827,9 @@ func (co *Coordinator) expireLeases() {
 	}
 }
 
-// result accepts one chunk result: validates its bounds, suppresses
-// duplicates, audits it when spot-check selection says so, then merges
-// every contiguous pending chunk in grid order.
+// result accepts one chunk result: validates its bounds and shape,
+// suppresses duplicates, audits it when spot-check selection says so, then
+// merges every contiguous pending chunk in grid order.
 func (co *Coordinator) result(w *workerConn, f *Frame) error {
 	if f.Chunk == nil {
 		return nil
@@ -823,6 +837,10 @@ func (co *Coordinator) result(w *workerConn, f *Frame) error {
 	wantB, wantE := faultsim.ChunkBounds(faultsim.ChunkIndex(f.Begin), co.trials)
 	if f.Begin != wantB || f.End != wantE || f.Chunk.Begin != f.Begin || f.Chunk.End != f.End {
 		return nil // malformed bounds: ignore; the lease will expire
+	}
+	if co.merger.CheckShape(f.Chunk) != nil {
+		co.quarantine(w, wantB, wantE) // no honest kernel mis-sizes a chunk
+		return nil
 	}
 	seq := faultsim.ChunkIndex(f.Begin)
 	if seq < co.mergeSeq || co.completed[seq] {
@@ -911,8 +929,8 @@ func (co *Coordinator) acceptChunk(w *workerConn, leaseID uint64, seq int, out *
 	return nil
 }
 
-// quarantine drops a worker whose chunk bytes diverged from the local
-// re-evaluation and bars its name from rejoining this coordinator.
+// quarantine drops a worker whose chunk was mis-shaped or diverged from
+// the local re-evaluation and bars its name from rejoining this coordinator.
 func (co *Coordinator) quarantine(w *workerConn, begin, end int) {
 	co.stats.Quarantined++
 	co.quarantined[w.name] = true

@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"repro/internal/faultsim"
@@ -71,11 +72,11 @@ func (c *corruptConn) Send(f *Frame) error {
 // against a local re-evaluation can expose them.
 func corruptChunk(ch *faultsim.ChunkOutput, pick int) *faultsim.ChunkOutput {
 	out := *ch
-	out.CritPerTrial = append([]float64(nil), ch.CritPerTrial...)
-	out.EscPerTrial = append([]float64(nil), ch.EscPerTrial...)
-	out.AffectedCount = cloneCounts(ch.AffectedCount)
-	out.TransmissionCount = cloneCounts(ch.TransmissionCount)
-	out.EdgeTrials = cloneCounts(ch.EdgeTrials)
+	out.CritPerTrial = slices.Clone(ch.CritPerTrial)
+	out.EscPerTrial = slices.Clone(ch.EscPerTrial)
+	out.Affected = slices.Clone(ch.Affected)
+	out.Transmissions = slices.Clone(ch.Transmissions)
+	out.EdgeTrials = slices.Clone(ch.EdgeTrials)
 	switch pick {
 	case 0:
 		out.TotalAffected++
@@ -89,15 +90,4 @@ func corruptChunk(ch *faultsim.ChunkOutput, pick int) *faultsim.ChunkOutput {
 		}
 	}
 	return &out
-}
-
-func cloneCounts(m map[string]int) map[string]int {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

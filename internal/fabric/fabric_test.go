@@ -1,8 +1,10 @@
 package fabric
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -13,9 +15,11 @@ import (
 	"time"
 
 	"repro/internal/attrs"
+	"repro/internal/cluster"
 	"repro/internal/faultsim"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/spec"
 	"repro/internal/testutil"
 )
 
@@ -321,45 +325,19 @@ func TestFabricDuplicateResultsSuppressed(t *testing.T) {
 		ch <- serveOut{res, stats, err}
 	}()
 
-	// A hand-rolled worker that speaks the protocol directly and sends
-	// every result twice.
-	runner, err := faultsim.NewChunkRunner(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := pl.Dial()(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&Frame{Type: TypeHello, Proto: Proto, Fingerprint: c.Fingerprint(), Worker: "dup"}); err != nil {
-		t.Fatal(err)
-	}
-	for done := false; !done; {
-		f, err := conn.Recv()
-		if err != nil {
-			t.Fatalf("recv: %v", err)
+	// Every result goes out twice. Only the final chunk's duplicate may
+	// find the connection closed: the coordinator exits once it merged the
+	// first copy.
+	end := protocolWorker(t, pl.Dial(), c, "dup", func(conn Conn, res *Frame) {
+		if err := conn.Send(res); err != nil {
+			t.Error(err)
 		}
-		switch f.Type {
-		case TypeWelcome:
-		case TypeCampaign: // v2 ships the spec; this worker is flag-configured
-		case TypeLease:
-			out, err := runner.Run(context.Background(), f.Begin, f.End)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := &Frame{Type: TypeResult, Lease: f.Lease, Epoch: f.Epoch, Begin: f.Begin, End: f.End, Chunk: out}
-			if err := conn.Send(res); err != nil {
-				t.Fatal(err)
-			}
-			if err := conn.Send(res); err != nil { // the duplicate
-				t.Fatal(err)
-			}
-		case TypeDone:
-			done = true
-		default:
-			t.Fatalf("unexpected frame %q", f.Type)
+		if err := conn.Send(res); err != nil && res.End != c.Trials {
+			t.Error(err)
 		}
+	})
+	if end != TypeDone {
+		t.Fatalf("worker session ended with %q, want done", end)
 	}
 	out := <-ch
 	if out.err != nil {
@@ -372,6 +350,130 @@ func TestFabricDuplicateResultsSuppressed(t *testing.T) {
 	// arrive after the campaign completed and the coordinator exited.
 	if min := faultsim.NumChunks(c.Trials) - 1; out.stats.Duplicates < min {
 		t.Errorf("Duplicates = %d, want >= %d (every chunk sent twice)", out.stats.Duplicates, min)
+	}
+}
+
+// protocolWorker is a hand-rolled worker that speaks the protocol directly
+// over one connection: it says hello with c's fingerprint, computes every
+// leased chunk and hands its result frame to answer, which sends whatever
+// it likes. It returns TypeDone when the coordinator finished the
+// campaign, or "" when the coordinator closed the connection.
+func protocolWorker(t *testing.T, dial Dialer, c faultsim.Campaign, name string, answer func(conn Conn, res *Frame)) string {
+	t.Helper()
+	runner, err := faultsim.NewChunkRunner(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := dial(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.Send(&Frame{Type: TypeHello, Proto: Proto, Fingerprint: c.Fingerprint(), Worker: name}); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		f, err := conn.Recv()
+		if err != nil {
+			return ""
+		}
+		switch f.Type {
+		case TypeWelcome:
+		case TypeCampaign: // the spec ships anyway; this worker is flag-configured
+		case TypeLease:
+			out, err := runner.Run(context.Background(), f.Begin, f.End)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answer(conn, &Frame{Type: TypeResult, Lease: f.Lease, Epoch: f.Epoch, Begin: f.Begin, End: f.End, Chunk: out})
+		case TypeDone:
+			return TypeDone
+		default:
+			t.Fatalf("unexpected frame %q", f.Type)
+		}
+	}
+}
+
+// TestFabricMisshapedChunkQuarantined: with no spot-checks at all, a
+// worker whose result chunk has slices of the wrong length is quarantined
+// by the shape check alone (its leases requeued), and the merged Result
+// stays bit-identical to Workers=1. A truncated per-trial slice would
+// otherwise merge silently; an over-long affected slice would index past
+// the campaign's nodes.
+func TestFabricMisshapedChunkQuarantined(t *testing.T) {
+	testutil.CheckGoroutines(t)
+	c := testCampaign(t, 640)
+	want := localReference(t, c)
+	for name, mutate := range map[string]func(co *faultsim.ChunkOutput){
+		"truncated crit_per_trial": func(co *faultsim.ChunkOutput) { co.CritPerTrial = co.CritPerTrial[:10] },
+		"over-long affected":       func(co *faultsim.ChunkOutput) { co.Affected = append(co.Affected, 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			bus := obs.NewBus(256)
+			defer bus.Close()
+			var mu sync.Mutex
+			var quarantined []string
+			bus.Attach(func(ev obs.BusEvent) {
+				if ev.Kind == "fabric_quarantine" {
+					mu.Lock()
+					quarantined = append(quarantined, ev.Name)
+					mu.Unlock()
+				}
+			})
+			pl := NewPipeListener()
+			type serveOut struct {
+				res   faultsim.Result
+				stats Stats
+				err   error
+			}
+			ch := make(chan serveOut, 1)
+			sctx, scancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer scancel()
+			go func() {
+				res, stats, err := Serve(sctx, Config{
+					Campaign: c, Listener: pl, LeaseTTL: 5 * time.Second, MinWorkers: 2, Bus: bus,
+				})
+				ch <- serveOut{res, stats, err}
+			}()
+			honest := make(chan error, 1)
+			go func() {
+				honest <- RunWorker(context.Background(), WorkerConfig{
+					Campaign: c, Dial: pl.Dial(), Name: "honest",
+					HeartbeatEvery: 25 * time.Millisecond, BackoffBase: time.Millisecond, MaxReconnects: 50,
+				})
+			}()
+			// The liar lies once, then answers honestly; the sends after its
+			// quarantine may find the connection closed.
+			lied := false
+			end := protocolWorker(t, pl.Dial(), c, "liar", func(conn Conn, res *Frame) {
+				if !lied {
+					lied = true
+					mutate(res.Chunk)
+				}
+				_ = conn.Send(res)
+			})
+			if end != "" {
+				t.Errorf("liar session ended with %q, want the coordinator to close it", end)
+			}
+			out := <-ch
+			if err := <-honest; err != nil {
+				t.Errorf("honest worker: %v", err)
+			}
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			if !reflect.DeepEqual(out.res, want) {
+				t.Errorf("result with a mis-shaped chunk differs from Workers=1 (stats %+v)", out.stats)
+			}
+			if out.stats.Quarantined != 1 || out.stats.Reassigned == 0 {
+				t.Errorf("Quarantined = %d, Reassigned = %d; want 1 and > 0", out.stats.Quarantined, out.stats.Reassigned)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(quarantined) != 1 || quarantined[0] != "liar" {
+				t.Errorf("fabric_quarantine events name %q, want [liar]", quarantined)
+			}
+		})
 	}
 }
 
@@ -428,20 +530,24 @@ func TestFabricRejectsProtoMismatch(t *testing.T) {
 		_, _, err := Serve(sctx, Config{Campaign: c, Listener: pl})
 		ch <- err
 	}()
-	conn, err := pl.Dial()(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := conn.Send(&Frame{Type: TypeHello, Proto: Proto + 1, Fingerprint: c.Fingerprint()}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := conn.Recv()
-	if err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-	if f.Type != TypeReject {
-		t.Fatalf("frame = %q, want reject", f.Type)
+	// A newer peer and an older one (v2 carried name-keyed result maps)
+	// are both refused at hello.
+	for _, proto := range []int{Proto + 1, Proto - 1} {
+		conn, err := pl.Dial()(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := conn.Send(&Frame{Type: TypeHello, Proto: proto, Fingerprint: c.Fingerprint()}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := conn.Recv()
+		if err != nil {
+			t.Fatalf("proto %d: recv: %v", proto, err)
+		}
+		if f.Type != TypeReject {
+			t.Fatalf("proto %d: frame = %q, want reject", proto, f.Type)
+		}
 	}
 	scancel()
 	if err := <-ch; !errors.Is(err, context.Canceled) {
@@ -644,5 +750,47 @@ func TestCodecRoundTripAndLimits(t *testing.T) {
 	}
 	if _, err := srv2.Recv(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("hostile prefix Recv err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestResultFrameCarriesNoNodeNames pins the dense chunk format on the
+// wire: a result frame for the paper example names none of the campaign's
+// nodes (its counters are indexed by node and edge id), and it decodes
+// back to the same chunk.
+func TestResultFrameCarriesNoNodeNames(t *testing.T) {
+	sys := spec.PaperExample()
+	g, err := sys.Graph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := cluster.Expand(g, sys.Jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := faultsim.Campaign{Graph: exp.Graph, Trials: 640, Seed: 11, CommFaultFraction: 0.3}
+	runner, err := faultsim.NewChunkRunner(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := runner.Run(context.Background(), 64, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := &Frame{Type: TypeResult, Lease: 3, Epoch: 1, Begin: 64, End: 128, Chunk: out, Leases: []uint64{3}}
+	payload, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Graph.Nodes() {
+		if bytes.Contains(payload, []byte(n)) {
+			t.Errorf("result frame names node %q: %s", n, payload)
+		}
+	}
+	var got Frame
+	if err := json.Unmarshal(payload, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&got, in) {
+		t.Errorf("result frame round-trip mismatch: %+v != %+v", got.Chunk, in.Chunk)
 	}
 }

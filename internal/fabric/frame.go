@@ -41,9 +41,9 @@ import (
 // Proto is the fabric wire-protocol version. A hello carrying any other
 // version is rejected before fingerprints are even compared. v2 added
 // campaign shipping (self-configuring workers), HMAC challenge-response
-// authentication, per-campaign epochs and quarantine; v1 peers are
-// rejected at hello.
-const Proto = 2
+// authentication, per-campaign epochs and quarantine; v3 made result
+// chunks dense, id-indexed arrays. Older peers are rejected at hello.
+const Proto = 3
 
 // Frame types. The zero value of unused fields is elided on the wire.
 const (
@@ -129,7 +129,7 @@ type Frame struct {
 
 	// Telemetry federation (all optional; every field is elided when the
 	// coordinator runs with telemetry off, so the relay-disabled wire
-	// format is byte-identical to protocol v2 without it).
+	// format is byte-identical to the same protocol without them).
 	//
 	// Campaign: Trace is the coordinator-assigned run-scoped trace id.
 	// Its presence is what switches a worker's relay on; the per-chunk

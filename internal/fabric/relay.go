@@ -7,8 +7,8 @@ package fabric
 // completed records, its liveness bus events and a small metric snapshot
 // to the frames it was sending anyway. A nil *relay is the telemetry-off
 // state: every method is a pointer comparison and nothing else, so the
-// relay-disabled hot path allocates exactly as much as protocol v2 did
-// (pinned by TestRelayOffZeroAlloc), and frames carry only zero-valued —
+// relay-disabled hot path allocates exactly as much as a fabric without
+// federation (pinned by TestRelayOffZeroAlloc), and frames carry only zero-valued —
 // hence wire-elided — telemetry fields.
 
 import (

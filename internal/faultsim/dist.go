@@ -48,26 +48,28 @@ func ChunkIndex(begin int) int { return begin / ChunkSize }
 // these before any trials move, mirroring the checkpoint fingerprints.
 func (c Campaign) Fingerprint() string { return c.fingerprint() }
 
-// ChunkOutput is the serialisable outcome of one grid chunk, suitable for
-// a JSON wire. The per-trial float slices preserve addition order across
-// the wire: encoding/json round-trips float64 exactly (shortest-form
-// rendering), so a merged Result built from remote chunks is bit-identical
-// to a local run.
+// ChunkOutput is one grid chunk's outcome: the kernel's accumulator, the
+// fabric's wire payload and the Merger's input. The float losses are kept
+// per trial so their sum is added in trial order, and encoding/json
+// round-trips float64 exactly, so remote chunks merge bit-identically.
+// Affected is indexed by node id (Graph.Nodes() order), Transmissions and
+// EdgeTrials by live-edge id (Graph.Edges() order without replica and
+// zero-weight edges); equal campaign fingerprints imply equal ids.
 type ChunkOutput struct {
-	Begin              int            `json:"begin"`
-	End                int            `json:"end"`
-	TotalAffected      int            `json:"total_affected"`
-	CrossTransmissions int            `json:"cross_transmissions"`
-	TrialsWithEscape   int            `json:"trials_with_escape"`
-	CommFaultTrials    int            `json:"comm_fault_trials"`
-	CriticalAffected   int            `json:"critical_affected"`
-	InitialFaults      int            `json:"initial_faults"`
-	TransientFaults    int            `json:"transient_faults"`
-	CritPerTrial       []float64      `json:"crit_per_trial"`
-	EscPerTrial        []float64      `json:"esc_per_trial"`
-	AffectedCount      map[string]int `json:"affected_count,omitempty"`
-	TransmissionCount  map[string]int `json:"transmission_count,omitempty"`
-	EdgeTrials         map[string]int `json:"edge_trials,omitempty"`
+	Begin              int       `json:"begin"`
+	End                int       `json:"end"`
+	TotalAffected      int       `json:"total_affected"`
+	CrossTransmissions int       `json:"cross_transmissions"`
+	TrialsWithEscape   int       `json:"trials_with_escape"`
+	CommFaultTrials    int       `json:"comm_fault_trials"`
+	CriticalAffected   int       `json:"critical_affected"`
+	InitialFaults      int       `json:"initial_faults"`
+	TransientFaults    int       `json:"transient_faults"`
+	CritPerTrial       []float64 `json:"crit_per_trial"`
+	EscPerTrial        []float64 `json:"esc_per_trial"`
+	Affected           []int     `json:"affected"`
+	Transmissions      []int     `json:"transmissions"`
+	EdgeTrials         []int     `json:"edge_trials"`
 }
 
 // ChunkRunner computes grid chunks of one campaign — the worker side of a
@@ -101,16 +103,11 @@ func (r *ChunkRunner) Run(ctx context.Context, begin, end int) (*ChunkOutput, er
 			"faultsim: chunk [%d,%d) is not on the %d-trial grid of %d trials",
 			begin, end, ChunkSize, r.trials))
 	}
-	env := r.env
-	ch := env.newChunk()
-	if err := env.runChunk(ctx, env.newScratch(), begin, end, ch); err != nil {
+	ch := r.env.newChunk()
+	if err := r.env.runChunk(ctx, r.env.newScratch(), begin, end, ch); err != nil {
 		return nil, err
 	}
-	out := ch.ChunkOutput
-	out.AffectedCount = namedCounts(ch.affected, env.nodes)
-	out.TransmissionCount = namedCounts(ch.transmissions, env.edgeKey)
-	out.EdgeTrials = namedCounts(ch.edgeTrials, env.edgeKey)
-	return &out, nil
+	return ch, nil
 }
 
 // Merger folds chunk outputs into a campaign Result, strictly in grid
@@ -151,17 +148,36 @@ func (m *Merger) Done() bool {
 	return m.run.done >= m.run.c.Trials || m.run.res.EarlyStopped
 }
 
-// Absorb folds one chunk into the Result. The chunk must begin exactly at
-// the frontier. stop reports that Wald early stopping ended the campaign
-// at this chunk's end; the caller must discard any speculative chunks
-// beyond it, as Run does.
+// CheckShape returns an ErrChunkShape stage error for a chunk whose end is
+// off the grid or whose slices lack one entry per trial, node and live
+// edge, so merging a remote chunk never indexes past the campaign.
+func (m *Merger) CheckShape(co *ChunkOutput) error {
+	env, trials := m.run.env, m.run.c.Trials
+	n, edges := co.End-co.Begin, len(env.eTo)
+	if co.End == chunkEnd(co.Begin, trials) && len(co.CritPerTrial) == n && len(co.EscPerTrial) == n &&
+		len(co.Affected) == len(env.nodes) && len(co.Transmissions) == edges && len(co.EdgeTrials) == edges {
+		return nil
+	}
+	return stage.Wrap("inject", "merge", "", fmt.Errorf(
+		"%w: [%d,%d) of %d trials with %d/%d per-trial values, %d affected for %d nodes, %d/%d edge counters for %d live edges",
+		ErrChunkShape, co.Begin, co.End, trials, len(co.CritPerTrial), len(co.EscPerTrial),
+		len(co.Affected), len(env.nodes), len(co.Transmissions), len(co.EdgeTrials), edges))
+}
+
+// Absorb folds one chunk into the Result. The chunk must pass CheckShape
+// and begin exactly at the frontier. stop reports that Wald early stopping
+// ended the campaign at this chunk's end; the caller must discard any
+// speculative chunks beyond it, as Run does.
 func (m *Merger) Absorb(co *ChunkOutput) (stop bool, err error) {
+	if err := m.CheckShape(co); err != nil {
+		return false, err
+	}
 	if co.Begin != m.run.done {
 		return false, stage.Wrap("inject", "merge", "", fmt.Errorf(
 			"faultsim: chunk [%d,%d) absorbed out of order, frontier %d",
 			co.Begin, co.End, m.run.done))
 	}
-	return m.run.merge(&chunkResult{ChunkOutput: *co})
+	return m.run.merge(co)
 }
 
 // Abort persists the frontier checkpoint (when configured) and returns

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"repro/internal/stage"
 )
 
 // runDistributed replays a campaign through the distributed surface: a
@@ -204,6 +206,54 @@ func TestMergerRejectsOutOfOrderChunks(t *testing.T) {
 	}
 	if m.Frontier() != 0 {
 		t.Errorf("failed absorb moved the frontier to %d", m.Frontier())
+	}
+}
+
+// TestMergerRejectsMisshapedChunks: a chunk whose slices do not have one
+// entry per trial, node and live edge is an ErrChunkShape stage error, and
+// a failed absorb leaves the Result untouched.
+func TestMergerRejectsMisshapedChunks(t *testing.T) {
+	g, hw := web(t)
+	c := Campaign{Graph: g, HWOf: hw, Trials: 1000, Seed: 42}
+	runner, err := NewChunkRunner(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMerger(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(co *ChunkOutput){
+		"short crit_per_trial":  func(co *ChunkOutput) { co.CritPerTrial = co.CritPerTrial[:10] },
+		"long esc_per_trial":    func(co *ChunkOutput) { co.EscPerTrial = append(co.EscPerTrial, 0) },
+		"long affected":         func(co *ChunkOutput) { co.Affected = append(co.Affected, 1) },
+		"missing affected":      func(co *ChunkOutput) { co.Affected = nil },
+		"short transmissions":   func(co *ChunkOutput) { co.Transmissions = co.Transmissions[1:] },
+		"long edge_trials":      func(co *ChunkOutput) { co.EdgeTrials = append(co.EdgeTrials, 1) },
+		"end off the grid":      func(co *ChunkOutput) { co.End-- },
+		"empty chunk at a gap":  func(co *ChunkOutput) { *co = ChunkOutput{Begin: 1} },
+		"chunk past the trials": func(co *ChunkOutput) { co.Begin, co.End = 1024, 1088 },
+	} {
+		co, err := runner.Run(context.Background(), 0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(co)
+		_, err = m.Absorb(co)
+		var se *stage.Error
+		if !errors.Is(err, ErrChunkShape) || !errors.As(err, &se) || se.Stage != "inject" {
+			t.Errorf("%s: Absorb err = %v, want an inject-stage ErrChunkShape", name, err)
+		}
+	}
+	if m.Frontier() != 0 {
+		t.Errorf("rejected chunks moved the frontier to %d", m.Frontier())
+	}
+	co, err := runner.Run(context.Background(), 0, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckShape(co); err != nil {
+		t.Errorf("a chunk fresh from the runner fails the shape check: %v", err)
 	}
 }
 

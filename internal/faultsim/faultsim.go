@@ -45,6 +45,8 @@ import (
 var (
 	ErrNoTrials = errors.New("faultsim: trials must be positive")
 	ErrNoNodes  = errors.New("faultsim: graph has no nodes")
+	// ErrChunkShape marks a chunk whose slices do not fit the campaign.
+	ErrChunkShape = errors.New("faultsim: chunk shape does not match the campaign")
 )
 
 // Campaign configures a fault-injection run.
@@ -267,50 +269,36 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// chunkResult accumulates the trials of one chunk. The embedded
-// ChunkOutput holds the scalar counters and the per-trial float slices:
-// all integer counters merge exactly regardless of order, and the single
-// order-sensitive value — the float64 criticality loss — is kept per trial
-// so the merged sum's addition order is always the trial order,
-// independent of chunk boundaries and worker count. The per-node and
-// per-edge counters are dense, indexed by campaignEnv ids; they become
-// named map entries only at the Result and wire boundaries, so the
-// embedded maps stay nil on a locally computed chunk.
-type chunkResult struct {
-	ChunkOutput
-	affected      []int // per node id
-	transmissions []int // per edge id
-	edgeTrials    []int // per edge id
-}
-
 // newChunk returns an empty chunk accumulator sized to the campaign.
-func (env *campaignEnv) newChunk() *chunkResult {
-	return &chunkResult{
-		ChunkOutput: ChunkOutput{
-			CritPerTrial: make([]float64, 0, trialChunkSize),
-			EscPerTrial:  make([]float64, 0, trialChunkSize),
-		},
-		affected:      make([]int, len(env.nodes)),
-		transmissions: make([]int, len(env.eTo)),
-		edgeTrials:    make([]int, len(env.eTo)),
+func (env *campaignEnv) newChunk() *ChunkOutput {
+	return &ChunkOutput{
+		CritPerTrial:  make([]float64, 0, trialChunkSize),
+		EscPerTrial:   make([]float64, 0, trialChunkSize),
+		Affected:      make([]int, len(env.nodes)),
+		Transmissions: make([]int, len(env.eTo)),
+		EdgeTrials:    make([]int, len(env.eTo)),
 	}
 }
 
-func (ch *chunkResult) reset() {
-	ch.ChunkOutput = ChunkOutput{
-		CritPerTrial: ch.CritPerTrial[:0],
-		EscPerTrial:  ch.EscPerTrial[:0],
+// reset empties the chunk for reuse, keeping its buffers.
+func (ch *ChunkOutput) reset() {
+	clear(ch.Affected)
+	clear(ch.Transmissions)
+	clear(ch.EdgeTrials)
+	*ch = ChunkOutput{
+		CritPerTrial:  ch.CritPerTrial[:0],
+		EscPerTrial:   ch.EscPerTrial[:0],
+		Affected:      ch.Affected,
+		Transmissions: ch.Transmissions,
+		EdgeTrials:    ch.EdgeTrials,
 	}
-	clear(ch.affected)
-	clear(ch.transmissions)
-	clear(ch.edgeTrials)
 }
 
-// absorb folds a chunk into the running Result, trial floats in order. A
-// chunk from the wire carries named maps; a local one carries dense
-// counters, which env names here. Zero counters are skipped, so the maps
-// hold exactly the keys some trial incremented, as on the wire path.
-func (r *Result) absorb(ch *chunkResult, env *campaignEnv) {
+// absorb folds a chunk into the running Result: integer counters (exact in
+// any order), then the per-trial floats in trial order, then the dense
+// counters under their names. Zero counters are skipped, so the maps hold
+// exactly the keys some trial incremented.
+func (r *Result) absorb(ch *ChunkOutput, env *campaignEnv) {
 	r.TotalAffected += ch.TotalAffected
 	r.CrossNodeTransmissions += ch.CrossTransmissions
 	r.TrialsWithEscape += ch.TrialsWithEscape
@@ -324,18 +312,9 @@ func (r *Result) absorb(ch *chunkResult, env *campaignEnv) {
 	for _, loss := range ch.EscPerTrial {
 		r.EscapedCriticalityLoss += loss
 	}
-	for k, v := range ch.AffectedCount {
-		r.AffectedCount[k] += v
-	}
-	for k, v := range ch.TransmissionCount {
-		r.TransmissionCount[k] += v
-	}
-	for k, v := range ch.EdgeTrials {
-		r.EdgeTrials[k] += v
-	}
-	addCounts(r.AffectedCount, ch.affected, env.nodes)
-	addCounts(r.TransmissionCount, ch.transmissions, env.edgeKey)
-	addCounts(r.EdgeTrials, ch.edgeTrials, env.edgeKey)
+	addCounts(r.AffectedCount, ch.Affected, env.nodes)
+	addCounts(r.TransmissionCount, ch.Transmissions, env.edgeKey)
+	addCounts(r.EdgeTrials, ch.EdgeTrials, env.edgeKey)
 }
 
 // addCounts adds every nonzero dense counter to m under its name.
@@ -345,19 +324,6 @@ func addCounts(m map[string]int, counts []int, names []string) {
 			m[names[i]] += v
 		}
 	}
-}
-
-// namedCounts returns the nonzero dense counters as a map keyed by name.
-func namedCounts(counts []int, names []string) map[string]int {
-	n := 0
-	for _, v := range counts {
-		if v != 0 {
-			n++
-		}
-	}
-	m := make(map[string]int, n)
-	addCounts(m, counts, names)
-	return m
 }
 
 // campaignEnv is the immutable, index-addressed view of a campaign shared
@@ -373,7 +339,7 @@ type campaignEnv struct {
 	outStart      []int32  // len(nodes)+1 CSR offsets
 	eFrom, eTo    []int32  // edge id → endpoint node ids
 	eW            []float64
-	edgeKey       []string // edge id → "from>to", the Result and wire key
+	edgeKey       []string // edge id → "from>to", the Result key
 	crit          []float64
 	hw            []int32 // node id → interned HW name; "" (unmapped) is interned too
 	hasHW         bool    // Campaign.HWOf was set: HW boundary accounting on
@@ -531,7 +497,7 @@ func (env *campaignEnv) pick(rng *rand.Rand) int32 {
 // runChunk executes trials [begin, end) on their own substreams,
 // accumulating into ch. The context is polled at every trial boundary; a
 // cancelled chunk is all-or-nothing and contributes no trials.
-func (env *campaignEnv) runChunk(ctx context.Context, s *trialScratch, begin, end int, ch *chunkResult) error {
+func (env *campaignEnv) runChunk(ctx context.Context, s *trialScratch, begin, end int, ch *ChunkOutput) error {
 	ch.Begin, ch.End = begin, end
 	for trial := begin; trial < end; trial++ {
 		if ctx != nil {
@@ -545,7 +511,7 @@ func (env *campaignEnv) runChunk(ctx context.Context, s *trialScratch, begin, en
 	return nil
 }
 
-func (env *campaignEnv) runTrial(s *trialScratch, ch *chunkResult) {
+func (env *campaignEnv) runTrial(s *trialScratch, ch *ChunkOutput) {
 	// The fault model draws the initial fault set; propagation below is
 	// shared by every model. All draws come from the trial's private
 	// substream in a fixed order, so the trial is a pure function of
@@ -580,11 +546,11 @@ func (env *campaignEnv) runTrial(s *trialScratch, ch *chunkResult) {
 				// is already faulty — conditioning the draw on target
 				// health would bias the per-edge estimate downward on
 				// convergent paths.
-				ch.edgeTrials[e]++
+				ch.EdgeTrials[e]++
 				if s.rng.Float64() >= env.eW[e] {
 					continue
 				}
-				ch.transmissions[e]++
+				ch.Transmissions[e]++
 				v := env.eTo[e]
 				if s.mark[v] == s.gen {
 					continue
@@ -607,7 +573,7 @@ func (env *campaignEnv) runTrial(s *trialScratch, ch *chunkResult) {
 	}
 	loss, escLoss := 0.0, 0.0
 	for _, n := range s.order {
-		ch.affected[n]++
+		ch.Affected[n]++
 		cv := env.crit[n]
 		loss += cv
 		if s.via[n] {
@@ -625,7 +591,7 @@ func (env *campaignEnv) runTrial(s *trialScratch, ch *chunkResult) {
 // over a HW boundary, for escaped-loss accounting. Under a transient
 // model the permanence draw happens at discovery, in frontier order; a
 // transient fault affects its FCM but never joins the frontier.
-func (env *campaignEnv) admit(s *trialScratch, ch *chunkResult, n int32, crossed bool) {
+func (env *campaignEnv) admit(s *trialScratch, ch *ChunkOutput, n int32, crossed bool) {
 	s.mark[n] = s.gen
 	s.via[n] = crossed
 	s.order = append(s.order, n)
@@ -693,7 +659,7 @@ func (r *campaignRun) checkpointEvent(done int) {
 // early-stopping test. It reports stop=true when the campaign should end
 // at frontier e. Because the chunk sequence is worker-count-independent,
 // so is every decision made here.
-func (r *campaignRun) merge(ch *chunkResult) (stop bool, err error) {
+func (r *campaignRun) merge(ch *ChunkOutput) (stop bool, err error) {
 	b, e := ch.Begin, ch.End
 	r.res.absorb(ch, r.env)
 	r.done = e
@@ -778,7 +744,7 @@ func (r *campaignRun) parallel(start, workers int) error {
 	}
 	type outcome struct {
 		job
-		ch  *chunkResult
+		ch  *ChunkOutput
 		err error
 	}
 	maxInFlight := workers * 2

@@ -21,7 +21,8 @@ import (
 // bodies, unchanged except for the renamed identifiers (campaignEnv →
 // refEnv, chunkResult → refChunk, trialState → refTrialState, trialOrigin
 // → refOrigin) and the model dispatch in refEnv.inject. Every chunk the
-// dense kernel produces must equal the reference's, map for map.
+// dense kernel produces, its counters named through env.nodes and
+// env.edgeKey, must equal the reference's, map for map.
 
 type refChunk struct {
 	totalAffected      int
@@ -341,8 +342,8 @@ func (env *refEnv) inject(rng *rand.Rand, t *refTrialState) {
 }
 
 // runChunk runs trials [begin, end) on the reference kernel and exports
-// them as a ChunkOutput.
-func (env *refEnv) runChunk(begin, end int) *ChunkOutput {
+// them as a namedChunk.
+func (env *refEnv) runChunk(begin, end int) *namedChunk {
 	pcg := rand.NewPCG(0, 0)
 	rng := rand.New(pcg)
 	ch := newRefChunk()
@@ -351,22 +352,51 @@ func (env *refEnv) runChunk(begin, end int) *ChunkOutput {
 		pcg.Seed(splitmix64(base), splitmix64(base^substreamSalt))
 		env.runTrial(rng, ch)
 	}
-	return &ChunkOutput{
-		Begin:              begin,
-		End:                end,
-		TotalAffected:      ch.totalAffected,
-		CrossTransmissions: ch.crossTransmissions,
-		TrialsWithEscape:   ch.trialsWithEscape,
-		CommFaultTrials:    ch.commFaultTrials,
-		CriticalAffected:   ch.criticalAffected,
-		InitialFaults:      ch.initialFaults,
-		TransientFaults:    ch.transientFaults,
-		CritPerTrial:       ch.critPerTrial,
-		EscPerTrial:        ch.escPerTrial,
-		AffectedCount:      ch.affectedCount,
-		TransmissionCount:  ch.transmissionCount,
-		EdgeTrials:         ch.edgeTrials,
+	return &namedChunk{
+		ChunkOutput: ChunkOutput{
+			Begin:              begin,
+			End:                end,
+			TotalAffected:      ch.totalAffected,
+			CrossTransmissions: ch.crossTransmissions,
+			TrialsWithEscape:   ch.trialsWithEscape,
+			CommFaultTrials:    ch.commFaultTrials,
+			CriticalAffected:   ch.criticalAffected,
+			InitialFaults:      ch.initialFaults,
+			TransientFaults:    ch.transientFaults,
+			CritPerTrial:       ch.critPerTrial,
+			EscPerTrial:        ch.escPerTrial,
+		},
+		affectedCount:     ch.affectedCount,
+		transmissionCount: ch.transmissionCount,
+		edgeTrials:        ch.edgeTrials,
 	}
+}
+
+// namedChunk is a chunk whose per-node and per-edge counters are keyed by
+// name, the form the reference kernel accumulates. The embedded
+// ChunkOutput holds the scalars and per-trial floats; its dense counters
+// stay nil.
+type namedChunk struct {
+	ChunkOutput
+	affectedCount     map[string]int
+	transmissionCount map[string]int
+	edgeTrials        map[string]int
+}
+
+// named keys the dense counters of co by env's node and edge names,
+// skipping zeros as the reference's maps do.
+func (env *campaignEnv) named(co *ChunkOutput) *namedChunk {
+	nc := &namedChunk{
+		ChunkOutput:       *co,
+		affectedCount:     map[string]int{},
+		transmissionCount: map[string]int{},
+		edgeTrials:        map[string]int{},
+	}
+	nc.Affected, nc.Transmissions, nc.EdgeTrials = nil, nil, nil
+	addCounts(nc.affectedCount, co.Affected, env.nodes)
+	addCounts(nc.transmissionCount, co.Transmissions, env.edgeKey)
+	addCounts(nc.edgeTrials, co.EdgeTrials, env.edgeKey)
+	return nc
 }
 
 // kernelGraph is one expanded influence graph the kernel tests run on.
@@ -442,25 +472,25 @@ var kernelModels = []struct {
 	{"transient", Transient(0.6)},
 }
 
-// denseChunks runs every grid chunk of c through runner.
-func denseChunks(t *testing.T, runner *ChunkRunner, trials int) []*ChunkOutput {
+// denseChunks runs every grid chunk of c through runner and names each.
+func denseChunks(t *testing.T, runner *ChunkRunner, trials int) []*namedChunk {
 	t.Helper()
-	var out []*ChunkOutput
+	var out []*namedChunk
 	for i := 0; i < NumChunks(trials); i++ {
 		b, e := ChunkBounds(i, trials)
 		co, err := runner.Run(context.Background(), b, e)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, co)
+		out = append(out, runner.env.named(co))
 	}
 	return out
 }
 
 // refChunks runs every grid chunk of c through the reference kernel.
-func refChunks(c *Campaign) []*ChunkOutput {
+func refChunks(c *Campaign) []*namedChunk {
 	env := newRefEnv(c)
-	var out []*ChunkOutput
+	var out []*namedChunk
 	for i := 0; i < NumChunks(c.Trials); i++ {
 		b, e := ChunkBounds(i, c.Trials)
 		out = append(out, env.runChunk(b, e))
@@ -549,7 +579,7 @@ func TestTrialKernelReferenceCatchesSwappedEdges(t *testing.T) {
 // warmKernel returns a campaign environment with its scratch and chunk
 // accumulator already through one chunk, on the paper example with a HW
 // mapping and communication faults on.
-func warmKernel(t testing.TB, g *graph.Graph, model FaultModel) (*campaignEnv, *trialScratch, *chunkResult) {
+func warmKernel(t testing.TB, g *graph.Graph, model FaultModel) (*campaignEnv, *trialScratch, *ChunkOutput) {
 	t.Helper()
 	c := Campaign{
 		Graph: g, HWOf: spreadHW(g, 4), Trials: 1 << 20, Seed: 7,
@@ -589,15 +619,74 @@ func TestRunChunkZeroAlloc(t *testing.T) {
 	}
 }
 
+// meshGraph is the 130-node generated mesh of the perfbench campaign
+// workload.
+func meshGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	sc, err := scengen.Generate(scengen.Config{Family: scengen.Mesh, Processes: 96, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return expandedGraph(t, sc.System)
+}
+
+// Sinks that keep the buffers of the allocation test on the heap.
+var (
+	sinkScratch *trialScratch
+	sinkChunk   *ChunkOutput
+)
+
+// TestChunkRunnerAllocsIndependentOfGraph pins the dense chunk format:
+// ChunkRunner.Run allocates as often on the 12-node paper example as on
+// the 130-node mesh, and no more than a fresh scratch and a fresh chunk
+// take, because every counter is one slice whatever the graph's size and
+// nothing is keyed by name.
+func TestChunkRunnerAllocsIndependentOfGraph(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation makes allocation counts unstable")
+	}
+	allocs := func(g *graph.Graph) (run, buffers float64) {
+		c := Campaign{
+			Graph: g, HWOf: spreadHW(g, 4), Trials: 1 << 20, Seed: 7,
+			CriticalThreshold: 10, CommFaultFraction: 0.3,
+		}
+		runner, err := NewChunkRunner(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := 0
+		run = testing.AllocsPerRun(20, func() {
+			if _, err := runner.Run(context.Background(), b, b+ChunkSize); err != nil {
+				t.Fatal(err)
+			}
+			b += ChunkSize
+		})
+		buffers = testing.AllocsPerRun(20, func() {
+			sinkScratch, sinkChunk = runner.env.newScratch(), runner.env.newChunk()
+		})
+		return run, buffers
+	}
+	paper := expandedGraph(t, spec.PaperExample())
+	mesh := meshGraph(t)
+	if paper.NumNodes() != 12 || mesh.NumNodes() != 130 {
+		t.Fatalf("graphs have %d and %d nodes, want 12 and 130", paper.NumNodes(), mesh.NumNodes())
+	}
+	paperRun, paperBuf := allocs(paper)
+	meshRun, meshBuf := allocs(mesh)
+	if paperRun != meshRun {
+		t.Errorf("ChunkRunner.Run allocates %.1f times per chunk on the paper example, %.1f on the mesh", paperRun, meshRun)
+	}
+	if paperRun != paperBuf || meshRun != meshBuf {
+		t.Errorf("ChunkRunner.Run allocates %.1f/%.1f times per chunk (paper/mesh), its scratch and chunk %.1f/%.1f",
+			paperRun, meshRun, paperBuf, meshBuf)
+	}
+}
+
 // BenchmarkTrialKernel measures the trial kernel alone — runChunk on a
 // warm scratch, one 64-trial chunk per op — on the 130-node generated mesh
 // of the perfbench campaign workload, one sub-benchmark per fault model.
 func BenchmarkTrialKernel(b *testing.B) {
-	sc, err := scengen.Generate(scengen.Config{Family: scengen.Mesh, Processes: 96, Seed: 7})
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := expandedGraph(b, sc.System)
+	g := meshGraph(b)
 	for _, m := range kernelModels {
 		b.Run(m.name, func(b *testing.B) {
 			env, s, ch := warmKernel(b, g, m.model)
